@@ -2477,8 +2477,8 @@ fn e20() -> String {
     );
 
     // Leg 3: the TCP host, queried one round trip at a time over a real
-    // socket — client-observed latency includes framing, the kernel and
-    // the pump's scheduling slice.
+    // socket — client-observed latency adds framing, the kernel and the
+    // hops between the connection thread and the pump.
     let host = spawn_host(HostConfig {
         listen: "127.0.0.1:0".into(),
         status: None,

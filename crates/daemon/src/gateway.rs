@@ -14,6 +14,7 @@
 //! failure) comes back, so an over-quota tenant consumes gateway-side
 //! arithmetic only.
 
+use crate::accept::{spawn_acceptor, wake};
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
 use sqpeer_rql::compile;
@@ -141,16 +142,16 @@ pub struct GatewayHandle {
     /// The bound listen address.
     pub addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl GatewayHandle {
-    /// Signals the accept loop to stop and joins it.
-    pub fn shutdown(mut self) {
+    /// Wakes the accept loop, stops it and joins it. Client threads
+    /// notice within their read timeout.
+    pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        wake(self.addr);
+        let _ = self.acceptor.join();
     }
 }
 
@@ -162,7 +163,6 @@ const GATEWAY_PEER: PeerId = PeerId(u32::MAX);
 /// Connections speak framed [`GatewayRequest`] / [`GatewayResponse`].
 pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
     let listener = TcpListener::bind(&config.listen)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let tenants: Arc<HashMap<String, Tenant>> = Arc::new(
@@ -188,33 +188,18 @@ pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let next_qid = Arc::new(AtomicU64::new(0));
-    let mut threads = Vec::new();
-    {
-        let shutdown = Arc::clone(&shutdown);
-        threads.push(std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let tenants = Arc::clone(&tenants);
-                        let shutdown = Arc::clone(&shutdown);
-                        let next_qid = Arc::clone(&next_qid);
-                        std::thread::spawn(move || {
-                            serve_client(stream, tenants, next_qid, shutdown)
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        }));
-    }
+    let shutdown_flag = Arc::clone(&shutdown);
+    let acceptor = spawn_acceptor(listener, Arc::clone(&shutdown), move |stream| {
+        let tenants = Arc::clone(&tenants);
+        let shutdown = Arc::clone(&shutdown_flag);
+        let next_qid = Arc::clone(&next_qid);
+        std::thread::spawn(move || serve_client(stream, tenants, next_qid, shutdown));
+    });
 
     Ok(GatewayHandle {
         addr,
         shutdown,
-        threads,
+        acceptor,
     })
 }
 

@@ -136,6 +136,37 @@ pub fn outcome<T: Transport<PeerNode>>(
         .and_then(|n| n.outcomes.get(&qid))
 }
 
+/// Hands off the outcome of `qid` at member `at`: moves it out of the
+/// root's `outcomes` and drops the group client's copy of the same
+/// answer, so a long-running driver retains nothing for a query it has
+/// answered. The client's copy travels as a `ClientAnswer` the root sends
+/// on completion; call this once the transport has delivered it (on the
+/// loopback, any drain that records the outcome also delivers it).
+pub fn take_outcome<T: Transport<PeerNode>>(
+    transport: &mut T,
+    group: &Group,
+    at: PeerId,
+    qid: QueryId,
+) -> Option<QueryOutcome> {
+    let outcome = transport.node_mut(node_of(at))?.outcomes.remove(&qid)?;
+    if let Some(client) = transport.node_mut(node_of(group.client)) {
+        client.client_answers.remove(&qid);
+    }
+    Some(outcome)
+}
+
+/// Answers the group still holds: root outcomes at every member plus
+/// answers the client has received.
+pub fn retained_answers<T: Transport<PeerNode>>(transport: &T, group: &Group) -> usize {
+    group
+        .peers
+        .iter()
+        .chain([&group.client])
+        .filter_map(|&p| transport.node(node_of(p)))
+        .map(|n| n.outcomes.len() + n.client_answers.len())
+        .sum()
+}
+
 /// Steps `transport` in `slice_us` increments until `qid` completes at
 /// `at` or `budget_us` of transport time elapses. Returns whether the
 /// outcome arrived.

@@ -11,11 +11,21 @@
 //!   text: connect, read to EOF, done — `curl`-able without any HTTP
 //!   machinery.
 //!
-//! Threading: an accept thread per listener, a reader thread per peer
-//! connection, and one pump thread that owns the transport. Connection
-//! threads talk to the pump over an mpsc channel and block on a
-//! per-query reply channel, so several queries can be in flight at once.
+//! Threading: one accept thread per listener, parked in a blocking
+//! `accept`; a reader thread per peer connection; and one pump thread
+//! that owns the transport. The pump wakes on work, never on a timer of
+//! its own: it runs everything due ([`LoopbackNet::run_due`]), hands off
+//! finished queries, then blocks on its command channel until a command
+//! arrives or the next queued frame or timer falls due
+//! ([`LoopbackNet::next_due_us`]). Connection threads send query
+//! commands and block on a per-query reply channel, so several queries
+//! can be in flight at once; the status thread sends a render command,
+//! so the page reflects the pump's state at the moment it is requested.
+//! The hand-off moves each answer out of the root's `outcomes` and drops
+//! the group client's copy, so a host retains no answer once it has
+//! replied (`retained_answers` on the status page).
 
+use crate::accept::{spawn_acceptor, wake};
 use crate::{assemble, group, Group, GroupSpec, LoopbackNet};
 use sqpeer_exec::{Msg, PeerNode, QueryId};
 use sqpeer_net::{Channel, ChannelId, ChannelState, Transport};
@@ -26,7 +36,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -62,11 +72,18 @@ struct InFlight {
     reply: Sender<(ResultSet, bool)>,
 }
 
-/// A query command from a connection thread to the pump.
-struct Command {
-    at: PeerId,
-    query: sqpeer_rql::QueryPattern,
-    reply: Sender<(ResultSet, bool)>,
+/// Work for the pump, sent by the connection and status threads.
+enum Command {
+    /// Pose `query` at member `at`; the answer goes back on `reply`.
+    Query {
+        at: PeerId,
+        query: sqpeer_rql::QueryPattern,
+        reply: Sender<(ResultSet, bool)>,
+    },
+    /// Render the status page from the pump's current state.
+    Status(Sender<String>),
+    /// Stop the pump.
+    Stop,
 }
 
 /// A running host.
@@ -76,13 +93,20 @@ pub struct HostHandle {
     /// The bound status-port address, when configured.
     pub status_addr: Option<SocketAddr>,
     shutdown: Arc<AtomicBool>,
+    commands: Sender<Command>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl HostHandle {
-    /// Signals every thread to stop and joins them.
+    /// Stops the pump, wakes the accept threads and joins them all.
+    /// Connection threads notice within their read timeout.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.commands.send(Command::Stop);
+        wake(self.addr);
+        if let Some(status) = self.status_addr {
+            wake(status);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -110,131 +134,95 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     let group = assemble(&mut net, spec, settle_us);
 
     let listener = TcpListener::bind(&listen)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-
-    let status_listener = match &status {
-        Some(s) => {
-            let l = TcpListener::bind(s)?;
-            l.set_nonblocking(true)?;
-            Some(l)
-        }
-        None => None,
-    };
-    let status_addr = status_listener.as_ref().and_then(|l| l.local_addr().ok());
+    let status_listener = status.as_deref().map(TcpListener::bind).transpose()?;
+    let status_addr = status_listener
+        .as_ref()
+        .map(TcpListener::local_addr)
+        .transpose()?;
 
     let shutdown = Arc::new(AtomicBool::new(false));
-    let (cmd_tx, cmd_rx) = channel::<Command>();
-    // The pump publishes status text through a shared cell the status
-    // thread reads — the transport itself never leaves the pump thread.
-    let status_text: Arc<std::sync::Mutex<String>> = Arc::new(std::sync::Mutex::new(String::new()));
-
+    let (commands, command_rx) = channel::<Command>();
     let mut threads = Vec::new();
 
-    // Pump thread: owns the transport, injects queries, collects
-    // outcomes, refreshes the status text.
-    {
-        let shutdown = Arc::clone(&shutdown);
-        let status_text = Arc::clone(&status_text);
-        threads.push(std::thread::spawn(move || {
-            pump(net, group, cmd_rx, shutdown, status_text);
-        }));
-    }
+    // Pump thread: owns the transport, poses queries, hands off answers,
+    // renders the status page on request.
+    threads.push(std::thread::spawn(move || pump(net, group, command_rx)));
 
-    // Peer-port accept thread.
-    {
-        let shutdown = Arc::clone(&shutdown);
-        let schemas = schemas.clone();
-        threads.push(std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let cmd_tx = cmd_tx.clone();
-                        let schemas = schemas.clone();
-                        let shutdown = Arc::clone(&shutdown);
-                        std::thread::spawn(move || {
-                            serve_connection(stream, cmd_tx, schemas, shutdown, answer_batch_rows)
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        }));
-    }
+    // Peer-port accept thread: one reader thread per connection.
+    let serve = {
+        let (commands, shutdown) = (commands.clone(), Arc::clone(&shutdown));
+        move |stream| {
+            let (commands, schemas) = (commands.clone(), schemas.clone());
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || {
+                serve_connection(stream, commands, schemas, shutdown, answer_batch_rows)
+            });
+        }
+    };
+    threads.push(spawn_acceptor(listener, Arc::clone(&shutdown), serve));
 
-    // Status accept thread.
+    // Status accept thread: asks the pump for a fresh page per request.
     if let Some(listener) = status_listener {
-        let shutdown = Arc::clone(&shutdown);
-        let status_text = Arc::clone(&status_text);
-        threads.push(std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        let text = status_text.lock().map(|t| t.clone()).unwrap_or_default();
-                        let _ = io::Write::write_all(&mut stream, text.as_bytes());
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+        let commands = commands.clone();
+        let serve = move |mut stream: TcpStream| {
+            let (reply, page) = channel();
+            if commands.send(Command::Status(reply)).is_ok() {
+                if let Ok(text) = page.recv() {
+                    let _ = io::Write::write_all(&mut stream, text.as_bytes());
                 }
             }
-        }));
+        };
+        threads.push(spawn_acceptor(listener, Arc::clone(&shutdown), serve));
     }
 
     Ok(HostHandle {
         addr,
         status_addr,
         shutdown,
+        commands,
         threads,
     })
 }
 
-/// The transport-owning loop: drain commands, step real time, complete
-/// queries, refresh status.
-fn pump(
-    mut net: LoopbackNet<PeerNode>,
-    mut group: Group,
-    cmd_rx: Receiver<Command>,
-    shutdown: Arc<AtomicBool>,
-    status_text: Arc<std::sync::Mutex<String>>,
-) {
+/// The transport-owning loop: run what is due, hand off finished
+/// queries, then sleep until a command arrives or the next frame or
+/// timer falls due.
+fn pump(mut net: LoopbackNet<PeerNode>, mut group: Group, commands: Receiver<Command>) {
     let mut in_flight: HashMap<QueryId, InFlight> = HashMap::new();
-    let mut status_refresh = 0u32;
     let mut ttfr = QueryTtfr::default();
-    while !shutdown.load(Ordering::SeqCst) {
-        // Admit every waiting command, then give the transport a slice.
-        while let Ok(cmd) = cmd_rx.try_recv() {
-            let qid = group::pose(&mut net, &mut group, cmd.at, cmd.query);
-            in_flight.insert(
-                qid,
-                InFlight {
-                    at: cmd.at,
-                    reply: cmd.reply,
-                },
-            );
-        }
-        net.step_for(1_000);
-        in_flight.retain(|&qid, flight| match group::outcome(&net, flight.at, qid) {
-            Some(outcome) => {
-                if let Some(t) = outcome.ttfr_us {
-                    ttfr.count += 1;
-                    ttfr.sum_us += t;
-                    ttfr.last_us = Some(t);
+    loop {
+        net.run_due();
+        in_flight.retain(|&qid, flight| {
+            match group::take_outcome(&mut net, &group, flight.at, qid) {
+                Some(outcome) => {
+                    if let Some(t) = outcome.ttfr_us {
+                        ttfr.count += 1;
+                        ttfr.sum_us += t;
+                        ttfr.last_us = Some(t);
+                    }
+                    let _ = flight.reply.send((outcome.result, outcome.partial));
+                    false
                 }
-                let _ = flight.reply.send((outcome.result.clone(), outcome.partial));
-                false
+                None => true,
             }
-            None => true,
         });
-        status_refresh += 1;
-        if status_refresh.is_multiple_of(100) {
-            if let Ok(mut t) = status_text.lock() {
-                *t = render_status(&net, &ttfr);
+        let command = match net.next_due_us() {
+            Some(due) => {
+                commands.recv_timeout(Duration::from_micros(due.saturating_sub(net.now_us())))
             }
+            None => commands.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match command {
+            Ok(Command::Query { at, query, reply }) => {
+                let qid = group::pose(&mut net, &mut group, at, query);
+                in_flight.insert(qid, InFlight { at, reply });
+            }
+            Ok(Command::Status(reply)) => {
+                let _ = reply.send(render_status(&net, &group, &ttfr));
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(Command::Stop) | Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -249,7 +237,7 @@ struct QueryTtfr {
 
 /// Renders the plain-text status page: counters plus the telemetry
 /// snapshot's own rendering.
-fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr) -> String {
+fn render_status(net: &LoopbackNet<PeerNode>, group: &Group, ttfr: &QueryTtfr) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let m = net.metrics();
@@ -273,6 +261,11 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr) -> String {
     }
     let _ = writeln!(out, "max_stream_inflight {max_inflight}");
     let _ = writeln!(out, "credits_granted {credits}");
+    let _ = writeln!(
+        out,
+        "retained_answers {}",
+        group::retained_answers(net, group)
+    );
     let _ = writeln!(out, "query_ttfr_count {}", ttfr.count);
     if let Some(mean) = ttfr.sum_us.checked_div(ttfr.count) {
         let _ = writeln!(out, "query_ttfr_mean_us {mean}");
@@ -335,7 +328,7 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr) -> String {
 /// the answer), until the peer closes or shutdown.
 fn serve_connection(
     mut stream: TcpStream,
-    cmd_tx: Sender<Command>,
+    commands: Sender<Command>,
     schemas: SchemaRegistry,
     shutdown: Arc<AtomicBool>,
     answer_batch_rows: Option<usize>,
@@ -364,8 +357,8 @@ fn serve_connection(
         // `envelope.to` names the member peer the client wants to pose
         // the query at; the pump re-mints a host-local qid and the reply
         // echoes the client's own.
-        if cmd_tx
-            .send(Command {
+        if commands
+            .send(Command::Query {
                 at: envelope.to,
                 query,
                 reply: reply_tx,

@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod accept;
 mod clock;
 pub mod gateway;
 pub mod group;

@@ -9,9 +9,12 @@
 //! dropped, never delivered corrupted.
 //!
 //! Delivery is immediate-due (loopback has no propagation delay); timers
-//! arm at real microsecond offsets. [`LoopbackNet::step_for`] pumps
-//! until the wall clock has advanced the requested amount, sleeping in
-//! millisecond slices while nothing is due.
+//! arm at real microsecond offsets. Two ways to drive it:
+//! [`LoopbackNet::step_for`] pumps until the wall clock has advanced the
+//! requested amount, sleeping in millisecond slices while nothing is
+//! due; an event-driven owner (the `sqpeerd` pump) calls
+//! [`LoopbackNet::run_due`] and then sleeps on its own wake-up source
+//! until [`LoopbackNet::next_due_us`].
 
 use crate::RealClock;
 use sqpeer_net::{Clock, Ctx, Metrics, NodeId, NodeLogic, TelemetryRegistry, Transport};
@@ -237,6 +240,23 @@ where
         self.flush(node, ctx);
     }
 
+    /// Real time at which the earliest queued frame or timer falls due,
+    /// or `None` when nothing is queued. A driver that has just called
+    /// [`run_due`](Self::run_due) can sleep until then (or until it has
+    /// new work to inject) without missing anything.
+    pub fn next_due_us(&self) -> Option<u64> {
+        self.queue.peek().map(|Reverse((due, _, _))| *due)
+    }
+
+    /// Boots the nodes on first use, then processes everything due at or
+    /// before the current real time, including whatever that processing
+    /// itself sends (delivery is immediate-due). Never sleeps. Returns
+    /// the number of dispatched occurrences.
+    pub fn run_due(&mut self) -> usize {
+        self.boot();
+        self.drain_due()
+    }
+
     /// Processes everything due at or before the current real time.
     /// Returns the number of dispatched occurrences.
     fn drain_due(&mut self) -> usize {
@@ -282,18 +302,13 @@ where
     }
 
     fn step_for(&mut self, us: u64) -> usize {
-        self.boot();
         let deadline = self.clock.now_us().saturating_add(us);
-        let mut processed = self.drain_due();
+        let mut processed = self.run_due();
         while self.clock.now_us() < deadline {
             // Sleep until the next due item or the deadline, whichever
             // is sooner, in bounded slices so new work is noticed.
             let now = self.clock.now_us();
-            let next_due = self
-                .queue
-                .peek()
-                .map(|Reverse((due, _, _))| *due)
-                .unwrap_or(u64::MAX);
+            let next_due = self.next_due_us().unwrap_or(u64::MAX);
             let wait = next_due.max(now).min(deadline) - now;
             std::thread::sleep(Duration::from_micros(wait.clamp(50, 1_000)));
             processed += self.drain_due();
@@ -362,6 +377,28 @@ mod tests {
         assert_eq!(net.metrics().total_messages(), 4);
         let telemetry = net.telemetry_snapshot().unwrap();
         assert!(!telemetry.is_empty());
+    }
+
+    #[test]
+    fn run_due_drains_an_exchange_without_sleeping() {
+        let mut net: LoopbackNet<Echo> = LoopbackNet::new(SchemaRegistry::new());
+        net.add_node(NodeId(0), Echo(Vec::new()));
+        net.add_node(NodeId(1), Echo(Vec::new()));
+        net.inject(NodeId(0), NodeId(1), 3, 64);
+        // The whole 3→2→1→0 exchange is immediate-due: one call runs it.
+        net.run_due();
+        assert_eq!(net.metrics().total_messages(), 4);
+        // Only the two on_start timers remain, due 5 ms after boot (each
+        // stamped at its own node's start, so sleep a margin past the
+        // first).
+        let due = net.next_due_us().expect("timers queued");
+        assert!(due <= net.now_us() + 5_000, "{due}");
+        std::thread::sleep(Duration::from_micros(
+            due.saturating_sub(net.now_us()) + 1_000,
+        ));
+        assert_eq!(net.run_due(), 2);
+        assert_eq!(net.next_due_us(), None);
+        assert!(net.node(NodeId(0)).unwrap().0.contains(&1007));
     }
 
     #[test]

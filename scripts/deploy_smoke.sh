@@ -2,7 +2,8 @@
 # Deployment smoke test: boots two sqpeerd tenant hosts and the
 # multi-tenant gateway on loopback TCP, poses one query per tenant,
 # asserts hard cross-tenant isolation and the admission quota, and
-# captures the telemetry status page.
+# captures the telemetry status page (which must show no retained
+# answers).
 #
 # Usage: scripts/deploy_smoke.sh [outdir]   (default: deploy-smoke/)
 # Requires: target/release/sqpeerd (cargo build --release -p sqpeer-daemon)
@@ -103,10 +104,11 @@ rc=0; "$BIN" query 127.0.0.1:7431 starved-token "$QUERY" 2> "$OUT/starved.txt" |
 grep -q "bytes" "$OUT/starved.txt" || { echo "FAIL: quota message missing"; exit 1; }
 
 echo "== telemetry status page =="
-# The host refreshes its status text periodically; give it a beat.
-sleep 0.5
+# The host renders the page on request, so it already reflects the
+# answered query.
 "$BIN" status 127.0.0.1:7412 | tee "$OUT/status.txt"
 grep -q "sqpeerd status"    "$OUT/status.txt" || { echo "FAIL: no status page"; exit 1; }
 grep -q "decode_failures 0" "$OUT/status.txt" || { echo "FAIL: wire decode failures on the host"; exit 1; }
+grep -qx "retained_answers 0" "$OUT/status.txt" || { echo "FAIL: host retained answers after replying"; exit 1; }
 
 echo "deploy smoke: OK"

@@ -1,6 +1,6 @@
 //! Deployment-layer integration tests: the simulator≡loopback
-//! equivalence pin, the TCP host end to end, and gateway tenant
-//! isolation.
+//! equivalence pin, the TCP host end to end (answer hand-off and prompt
+//! shutdown included), and gateway tenant isolation.
 //!
 //! The headline invariant: a seeded workload driven through the
 //! [`Transport`] trait produces **identical answer sets and identical
@@ -20,8 +20,9 @@ use sqpeer_testkit::fixtures::{base_with, fig1_query_text, fig1_schema, fig2_bas
 use sqpeer_wire::{
     read_frame, write_frame, Envelope, GatewayRequest, GatewayResponse, SchemaRegistry,
 };
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The shared workload: the paper's running example — five peers holding
 /// the figure-2 bases, queried with the figure-1 pattern.
@@ -181,20 +182,165 @@ fn tcp_host_answers_wire_protocol_clients() {
     assert!(last);
 
     // The status endpoint serves a plain-text page mentioning the
-    // telemetry the exchange produced.
-    let status_addr = handle.status_addr.expect("status configured");
-    // Give the pump a refresh cycle before sampling.
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    let mut status = String::new();
-    std::io::Read::read_to_string(
-        &mut TcpStream::connect(status_addr).expect("status reachable"),
-        &mut status,
-    )
-    .expect("status readable");
+    // telemetry the exchange produced, rendered on request.
+    let status = status_page(handle.status_addr.expect("status configured"));
     assert!(status.contains("sqpeerd status"), "got: {status}");
     assert!(status.contains("decode_failures 0"), "got: {status}");
 
     handle.shutdown();
+}
+
+/// Fetches a host's status page: connect, read to EOF.
+fn status_page(addr: SocketAddr) -> String {
+    let mut page = String::new();
+    std::io::Read::read_to_string(
+        &mut TcpStream::connect(addr).expect("status reachable"),
+        &mut page,
+    )
+    .expect("status readable");
+    page
+}
+
+/// Poses the figure-1 query `n` times over one peer-port connection and
+/// returns the row count of each answer.
+fn ask_host(addr: SocketAddr, n: u64) -> Vec<usize> {
+    let mut schemas = SchemaRegistry::new();
+    schemas.register(fig1_schema());
+    let query = sqpeer_rql::compile(fig1_query_text(), &fig1_schema()).expect("compiles");
+    let mut stream = TcpStream::connect(addr).expect("host reachable");
+    (0..n)
+        .map(|i| {
+            write_frame(
+                &mut stream,
+                &Envelope {
+                    from: PeerId(9_999),
+                    to: PeerId(0),
+                    sent_at_us: 0,
+                    msg: Msg::ClientQuery {
+                        qid: QueryId(i),
+                        query: query.clone(),
+                    },
+                },
+            )
+            .expect("query sent");
+            let reply: Envelope = read_frame(&mut stream, &schemas)
+                .expect("reply readable")
+                .expect("host answered");
+            let Msg::Data { qid, result, .. } = reply.msg else {
+                panic!("expected Data, got {:?}", reply.msg);
+            };
+            assert_eq!(qid, QueryId(i), "host must echo the client's qid");
+            result.rows.len()
+        })
+        .collect()
+}
+
+/// A long-running host keeps no answer once it has replied: the pump
+/// moves each outcome out of the root and drops the client's copy, so
+/// memory stays flat however many queries a host serves.
+#[test]
+fn host_retains_no_answers_after_replying() {
+    let handle = spawn_host(HostConfig {
+        listen: "127.0.0.1:0".into(),
+        status: Some("127.0.0.1:0".into()),
+        spec: spec(),
+        telemetry_window_us: None,
+        settle_us: 200_000,
+        answer_batch_rows: None,
+    })
+    .expect("host starts");
+
+    let rows = ask_host(handle.addr, 50);
+    assert!(rows.iter().all(|&n| n > 0 && n == rows[0]), "{rows:?}");
+    let status = status_page(handle.status_addr.expect("status configured"));
+    assert!(
+        status.lines().any(|l| l == "retained_answers 0"),
+        "answers retained after 50 replies: {status}"
+    );
+    handle.shutdown();
+}
+
+/// Blocking accepts must not make shutdown slow: a host with a status
+/// port plus a gateway stop within a second, whether no client ever
+/// connected or an idle client connection is still open, and afterwards
+/// every listener is closed (its accept thread exited and was joined).
+#[test]
+fn shutdown_is_prompt_with_blocking_accepts() {
+    const PROMPT: Duration = Duration::from_secs(1);
+    for idle_client in [false, true] {
+        let host = spawn_host(HostConfig {
+            listen: "127.0.0.1:0".into(),
+            status: Some("127.0.0.1:0".into()),
+            spec: spec(),
+            telemetry_window_us: None,
+            settle_us: 100_000,
+            answer_batch_rows: None,
+        })
+        .expect("host starts");
+        let gateway = spawn_gateway(GatewayConfig {
+            listen: "127.0.0.1:0".into(),
+            tenants: vec![TenantConfig {
+                token: "acme-token".into(),
+                host: host.addr.to_string(),
+                schema: fig1_schema(),
+                at: PeerId(0),
+                quotas: Quotas::default(),
+            }],
+        })
+        .expect("gateway starts");
+        let listeners = [
+            gateway.addr,
+            host.addr,
+            host.status_addr.expect("status configured"),
+        ];
+        let idle: Vec<TcpStream> = if idle_client {
+            let mut gw = TcpStream::connect(gateway.addr).expect("gateway reachable");
+            // One answered request, so the idle connection has a live
+            // client thread behind it on both daemons' sides.
+            write_frame(
+                &mut gw,
+                &GatewayRequest {
+                    token: "acme-token".into(),
+                    query: fig1_query_text().into(),
+                },
+            )
+            .expect("request sent");
+            let verdict: GatewayResponse = read_frame(&mut gw, &SchemaRegistry::new())
+                .expect("verdict readable")
+                .expect("gateway answered");
+            assert!(
+                matches!(verdict, GatewayResponse::Answer { .. }),
+                "{verdict:?}"
+            );
+            let peer = TcpStream::connect(host.addr).expect("host reachable");
+            vec![gw, peer]
+        } else {
+            Vec::new()
+        };
+
+        // Each shutdown runs on its own thread, so one that never
+        // returns fails the test instead of hanging it.
+        let prompt = |what: &str, stop: Box<dyn FnOnce() + Send>| {
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                stop();
+                let _ = done.send(());
+            });
+            assert!(
+                finished.recv_timeout(PROMPT).is_ok(),
+                "{what} shutdown took over {PROMPT:?} (idle client: {idle_client})"
+            );
+        };
+        prompt("gateway", Box::new(move || gateway.shutdown()));
+        prompt("host", Box::new(move || host.shutdown()));
+        for addr in listeners {
+            assert!(
+                TcpStream::connect(addr).is_err(),
+                "{addr} still accepting after shutdown (idle client: {idle_client})"
+            );
+        }
+        drop(idle);
+    }
 }
 
 /// Streamed results must be an execution strategy, not a semantics
