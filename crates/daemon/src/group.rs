@@ -8,7 +8,9 @@
 //!
 //! A group mirrors the ad-hoc SON construction of `sqpeer-overlay`: one
 //! [`PeerNode`] per description base, fully meshed neighbours, pull-based
-//! advertisement discovery, plus a client node that poses queries.
+//! advertisement discovery. Queries are posed at a member by the member
+//! itself, so the root records the answer and owes no `ClientAnswer`: a
+//! group holds exactly one copy of each answer.
 
 use sqpeer_exec::{
     node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome, Role,
@@ -34,8 +36,6 @@ pub struct GroupSpec {
 pub struct Group {
     /// Member peers, in base order: `PeerId(0..n)`.
     pub peers: Vec<PeerId>,
-    /// The client-peer that poses queries (`PeerId(n)`).
-    pub client: PeerId,
     /// The community schema.
     pub schema: Arc<Schema>,
     next_qid: u64,
@@ -49,8 +49,8 @@ impl Group {
 }
 
 /// Assembles `spec` onto `transport`: adds one fully-meshed peer node per
-/// base plus a client node, then runs pull-based advertisement discovery
-/// for `settle_us` of transport time.
+/// base, then runs pull-based advertisement discovery for `settle_us` of
+/// transport time.
 pub fn assemble<T: Transport<PeerNode>>(
     transport: &mut T,
     spec: GroupSpec,
@@ -84,8 +84,6 @@ pub fn assemble<T: Transport<PeerNode>>(
         node.neighbours = peers.iter().copied().filter(|&p| p != id).collect();
         transport.add_node(node_of(id), node);
     }
-    let client = PeerId(count);
-    transport.add_node(node_of(client), PeerNode::client(client));
 
     // Pull-based discovery: every peer asks every neighbour for its
     // 1-hop neighbourhood's advertisements (§3.2).
@@ -103,14 +101,14 @@ pub fn assemble<T: Transport<PeerNode>>(
 
     Group {
         peers,
-        client,
         schema,
         next_qid: 0,
     }
 }
 
-/// Poses `query` at member `at` from the group's client. Returns the
-/// query id to poll with [`outcome`].
+/// Poses `query` at member `at`, sent by `at` itself: the outcome lands
+/// in `at`'s `outcomes` and no answer travels back. Returns the query id
+/// to poll with [`outcome`].
 pub fn pose<T: Transport<PeerNode>>(
     transport: &mut T,
     group: &mut Group,
@@ -121,7 +119,7 @@ pub fn pose<T: Transport<PeerNode>>(
     group.next_qid += 1;
     let msg = Msg::ClientQuery { qid, query };
     let bytes = msg.wire_size();
-    transport.inject(node_of(group.client), node_of(at), msg, bytes);
+    transport.inject(node_of(at), node_of(at), msg, bytes);
     qid
 }
 
@@ -137,33 +135,23 @@ pub fn outcome<T: Transport<PeerNode>>(
 }
 
 /// Hands off the outcome of `qid` at member `at`: moves it out of the
-/// root's `outcomes` and drops the group client's copy of the same
-/// answer, so a long-running driver retains nothing for a query it has
-/// answered. The client's copy travels as a `ClientAnswer` the root sends
-/// on completion; call this once the transport has delivered it (on the
-/// loopback, any drain that records the outcome also delivers it).
+/// root's `outcomes`, the group's only copy of the answer, so a
+/// long-running driver retains nothing for a query it has answered.
 pub fn take_outcome<T: Transport<PeerNode>>(
     transport: &mut T,
-    group: &Group,
     at: PeerId,
     qid: QueryId,
 ) -> Option<QueryOutcome> {
-    let outcome = transport.node_mut(node_of(at))?.outcomes.remove(&qid)?;
-    if let Some(client) = transport.node_mut(node_of(group.client)) {
-        client.client_answers.remove(&qid);
-    }
-    Some(outcome)
+    transport.node_mut(node_of(at))?.outcomes.remove(&qid)
 }
 
-/// Answers the group still holds: root outcomes at every member plus
-/// answers the client has received.
+/// Answers the group still holds: root outcomes at every member.
 pub fn retained_answers<T: Transport<PeerNode>>(transport: &T, group: &Group) -> usize {
     group
         .peers
         .iter()
-        .chain([&group.client])
         .filter_map(|&p| transport.node(node_of(p)))
-        .map(|n| n.outcomes.len() + n.client_answers.len())
+        .map(|n| n.outcomes.len())
         .sum()
 }
 

@@ -21,9 +21,10 @@
 //! commands and block on a per-query reply channel, so several queries
 //! can be in flight at once; the status thread sends a render command,
 //! so the page reflects the pump's state at the moment it is requested.
-//! The hand-off moves each answer out of the root's `outcomes` and drops
-//! the group client's copy, so a host retains no answer once it has
-//! replied (`retained_answers` on the status page).
+//! Queries are posed at a member by the member itself, so the root keeps
+//! the only copy of each answer; the hand-off moves it out of the root's
+//! `outcomes`, and a host retains no answer once it has replied
+//! (`retained_answers` on the status page).
 
 use crate::accept::{spawn_acceptor, wake};
 use crate::{assemble, group, Group, GroupSpec, LoopbackNet};
@@ -193,8 +194,8 @@ fn pump(mut net: LoopbackNet<PeerNode>, mut group: Group, commands: Receiver<Com
     let mut ttfr = QueryTtfr::default();
     loop {
         net.run_due();
-        in_flight.retain(|&qid, flight| {
-            match group::take_outcome(&mut net, &group, flight.at, qid) {
+        in_flight.retain(
+            |&qid, flight| match group::take_outcome(&mut net, flight.at, qid) {
                 Some(outcome) => {
                     if let Some(t) = outcome.ttfr_us {
                         ttfr.count += 1;
@@ -205,8 +206,8 @@ fn pump(mut net: LoopbackNet<PeerNode>, mut group: Group, commands: Receiver<Com
                     false
                 }
                 None => true,
-            }
-        });
+            },
+        );
         let command = match net.next_due_us() {
             Some(due) => {
                 commands.recv_timeout(Duration::from_micros(due.saturating_sub(net.now_us())))

@@ -33,6 +33,7 @@ use sqpeer_store::DescriptionBase;
 use sqpeer_trace::{QueryProfile, TraceEvent, Tracer};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The role a peer plays in the system (§3).
@@ -473,10 +474,10 @@ impl StreamState {
         seq < self.next_seq || self.pending.contains_key(&seq)
     }
 
-    /// Ingests one packet and returns the rows that became drainable, in
-    /// sequence order (empty when the packet was a duplicate or arrived
-    /// ahead of a gap).
-    fn ingest(&mut self, seq: u32, rows: Vec<Row>, last: bool) -> Vec<Row> {
+    /// Ingests one packet and returns where in `acc` the rows that became
+    /// drainable landed, in sequence order (empty when the packet was a
+    /// duplicate or arrived ahead of a gap).
+    fn ingest(&mut self, seq: u32, rows: Vec<Row>, last: bool) -> Range<usize> {
         self.packets_received += 1;
         if last {
             self.last_seq = Some(seq);
@@ -484,13 +485,12 @@ impl StreamState {
         if seq >= self.next_seq && !self.pending.contains_key(&seq) {
             self.pending.insert(seq, rows);
         }
-        let mut drained = Vec::new();
+        let start = self.acc.len();
         while let Some(rows) = self.pending.remove(&self.next_seq) {
-            drained.extend(rows.iter().cloned());
             self.acc.extend(rows);
             self.next_seq += 1;
         }
-        drained
+        start..self.acc.len()
     }
 
     /// All batches `0..=last_seq` drained?
@@ -2209,28 +2209,48 @@ impl PeerNode {
         ctx.set_timer(self.config.processing_us_per_row * (first_rows + 1), timer);
     }
 
-    /// Pipelined consumption of one in-order batch drained from a
-    /// streamed subplan feeding `(frame_id, slot)`: join frames probe the
-    /// batch against their already-built sides, and any resulting
-    /// contribution rows timestamp the root's time-to-first-row and are
-    /// forwarded downstream when the frame completes towards a channel.
+    /// Pipelined consumption of the in-order rows just drained into
+    /// stream `tag`'s buffer (positions `drained`), feeding
+    /// `(frame_id, slot)`: join frames probe them against their
+    /// already-built sides, and any resulting contribution rows timestamp
+    /// the root's time-to-first-row and are forwarded downstream when the
+    /// frame completes towards a channel. Rows are copied out of the
+    /// buffer only for a join probe or a forwarding stream.
     fn consume_batch(
         &mut self,
         ctx: &mut Ctx<Msg>,
         qid: QueryId,
         frame_id: u64,
         slot: usize,
-        batch: ResultSet,
+        tag: u64,
+        drained: Range<usize>,
     ) {
-        let (contrib, completion) = {
-            let Some(frame) = self.frames.get_mut(&frame_id) else {
+        let forwarding = self.config.stream_batch_rows.is_some();
+        let (visible, forward) = {
+            let (Some(frame), Some(state)) =
+                (self.frames.get_mut(&frame_id), self.streams.get(&tag))
+            else {
                 return;
             };
             if frame.done || frame.slots[slot].is_some() {
                 return;
             }
-            let contrib = match frame.op {
-                FrameOp::Union => Some(batch),
+            // Union/join forwarding: an intermediate frame answering
+            // through a channel relays the contribution downstream
+            // immediately, so the root sees first rows before this peer's
+            // inputs complete.
+            let forward_to = match frame.completion {
+                Completion::Channel { channel, qid, tag } if forwarding => {
+                    Some((channel, qid, tag))
+                }
+                _ => None,
+            };
+            let batch = || ResultSet {
+                columns: state.columns.clone(),
+                rows: state.acc[drained.clone()].to_vec(),
+            };
+            match frame.op {
+                FrameOp::Union => (!drained.is_empty(), forward_to.map(|to| (to, batch()))),
                 FrameOp::Join => {
                     let others_filled = frame
                         .slots
@@ -2238,55 +2258,49 @@ impl PeerNode {
                         .enumerate()
                         .all(|(i, s)| i == slot || s.is_some());
                     if !others_filled {
-                        None
-                    } else {
-                        if frame.probe.as_ref().is_none_or(|p| p.slot != slot) {
-                            // Activate the probe: fold the filled sides
-                            // once; every batch joins against them from
-                            // here on. (The caller backfills previously
-                            // drained rows into this first batch.)
-                            let prefix = frame.slots[..slot].iter().flatten().fold(
-                                None::<ResultSet>,
-                                |acc, s| match acc {
-                                    None => Some(s.clone()),
-                                    Some(a) => Some(a.join(s)),
-                                },
-                            );
-                            let suffix: Vec<ResultSet> =
-                                frame.slots[slot + 1..].iter().flatten().cloned().collect();
-                            frame.probe = Some(JoinProbe {
-                                slot,
-                                prefix,
-                                suffix,
-                                acc: None,
-                            });
-                        }
-                        let probe = frame.probe.as_mut().expect("just ensured");
-                        let mut t = match &probe.prefix {
-                            Some(p) => p.join(&batch),
-                            None => batch,
-                        };
-                        for s in &probe.suffix {
-                            t = t.join(s);
-                        }
-                        let out = t.clone();
-                        match &mut probe.acc {
-                            Some(acc) => {
-                                acc.union(&t);
-                            }
-                            None => probe.acc = Some(t),
-                        }
-                        Some(out)
+                        return;
                     }
+                    if frame.probe.as_ref().is_none_or(|p| p.slot != slot) {
+                        // Activate the probe: fold the filled sides once;
+                        // every batch joins against them from here on.
+                        // (The caller backfills previously drained rows
+                        // into this first batch.)
+                        let prefix = frame.slots[..slot].iter().flatten().fold(
+                            None::<ResultSet>,
+                            |acc, s| match acc {
+                                None => Some(s.clone()),
+                                Some(a) => Some(a.join(s)),
+                            },
+                        );
+                        let suffix: Vec<ResultSet> =
+                            frame.slots[slot + 1..].iter().flatten().cloned().collect();
+                        frame.probe = Some(JoinProbe {
+                            slot,
+                            prefix,
+                            suffix,
+                            acc: None,
+                        });
+                    }
+                    let probe = frame.probe.as_mut().expect("just ensured");
+                    let mut t = match &probe.prefix {
+                        Some(p) => p.join(&batch()),
+                        None => batch(),
+                    };
+                    for s in &probe.suffix {
+                        t = t.join(s);
+                    }
+                    let visible = !t.rows.is_empty();
+                    let forward = forward_to.map(|to| (to, t.clone()));
+                    match &mut probe.acc {
+                        Some(acc) => acc.union_owned(t),
+                        None => probe.acc = Some(t),
+                    }
+                    (visible, forward)
                 }
-                FrameOp::Race => None,
-            };
-            (contrib, frame.completion.clone())
+                FrameOp::Race => return,
+            }
         };
-        let Some(contrib) = contrib else {
-            return;
-        };
-        if contrib.rows.is_empty() {
+        if !visible {
             return;
         }
         // Time-to-first-row: the first contribution rows that became
@@ -2294,13 +2308,8 @@ impl PeerNode {
         if let Some(root) = self.rooted.get_mut(&qid) {
             root.first_row_at_us.get_or_insert(ctx.now_us());
         }
-        // Union/join forwarding: an intermediate frame answering through
-        // a channel relays the contribution downstream immediately, so
-        // the root sees first rows before this peer's inputs complete.
-        if self.config.stream_batch_rows.is_some() {
-            if let Completion::Channel { channel, qid, tag } = completion {
-                self.forward_delta(ctx, channel, qid, tag, contrib);
-            }
+        if let Some(((channel, qid, tag), contrib)) = forward {
+            self.forward_delta(ctx, channel, qid, tag, contrib);
         }
     }
 
@@ -2391,21 +2400,20 @@ impl PeerNode {
             return;
         }
         let frame = self.frames.remove(&frame_id).expect("frame exists");
-        let (combined, combined_partial) = combine(&frame);
+        let (op, completion) = (frame.op, frame.completion.clone());
+        let (combined, combined_partial) = combine(frame);
         let per_row = self.config.processing_us_per_row;
-        if per_row > 0 && frame.op == FrameOp::Join {
+        if per_row > 0 && op == FrameOp::Join {
             // The join work happens at this peer: charge its load before
             // the result moves on (§2.5's processing-load axis).
             let delay = per_row * (combined.len() as u64 + 1);
             let timer = self.next_timer;
             self.next_timer += 1;
-            self.delayed.insert(
-                timer,
-                (frame.completion.clone(), combined, combined_partial),
-            );
+            self.delayed
+                .insert(timer, (completion, combined, combined_partial));
             ctx.set_timer(delay, timer);
         } else {
-            self.complete(ctx, frame.completion.clone(), combined, combined_partial);
+            self.complete(ctx, completion, combined, combined_partial);
         }
     }
 
@@ -2441,7 +2449,7 @@ impl PeerNode {
         // Apply the query's final projection (§2.1 projections). An empty
         // result coming out of a hole has no columns; give it the query's
         // projection schema so consumers see a well-formed (empty) table.
-        let mut projected = result.project(&names);
+        let mut projected = result.into_projected(&names);
         if projected.rows.is_empty() && projected.columns.len() != names.len() {
             projected = ResultSet::empty(names.clone());
         }
@@ -2469,10 +2477,13 @@ impl PeerNode {
             }
             root.first_row_at_us.map(|at| at.saturating_sub(started))
         };
+        // The answer is copied only when a client is owed a `ClientAnswer`;
+        // otherwise it moves straight into `outcomes`.
+        let answer = client.map(|client| (client, projected.clone()));
         self.outcomes.insert(
             qid,
             QueryOutcome {
-                result: projected.clone(),
+                result: projected,
                 completed_at_us: ctx.now_us(),
                 latency_us: ctx.now_us().saturating_sub(started),
                 ttfr_us,
@@ -2564,11 +2575,8 @@ impl PeerNode {
                 }
             }
         }
-        if let Some(client) = client {
-            let msg = Msg::ClientAnswer {
-                qid,
-                result: projected,
-            };
+        if let Some((client, result)) = answer {
+            let msg = Msg::ClientAnswer { qid, result };
             let bytes = msg.wire_size();
             ctx.send(node_of(client), msg, bytes);
         }
@@ -2947,42 +2955,35 @@ pub(crate) fn plan_columns(plan: &PlanNode) -> Vec<String> {
     }
 }
 
-fn combine(frame: &Frame) -> (ResultSet, bool) {
-    if let Some(pre) = &frame.precombined {
+/// Folds a completed frame's slots into its result, consuming the frame:
+/// the first slot (or the probe's precombined result) becomes the
+/// accumulator without a copy, and union inputs hand over their rows.
+fn combine(frame: Frame) -> (ResultSet, bool) {
+    let partial = frame.partial && frame.op != FrameOp::Race;
+    if let Some(pre) = frame.precombined {
         // A pipelined join probe already folded the combined result
         // incrementally as the batches streamed in.
-        return (pre.clone(), frame.partial && frame.op != FrameOp::Race);
+        return (pre, partial);
     }
-    let slots: Vec<&ResultSet> = frame.slots.iter().flatten().collect();
-    let combined = match frame.op {
+    let mut slots = frame.slots.into_iter().flatten();
+    let Some(mut acc) = slots.next() else {
+        return (ResultSet::default(), frame.op != FrameOp::Race);
+    };
+    match frame.op {
         FrameOp::Union => {
-            let mut iter = slots.into_iter();
-            let Some(first) = iter.next() else {
-                return (ResultSet::default(), true);
-            };
-            let mut acc = first.clone();
-            for s in iter {
-                acc.union(s);
+            for s in slots {
+                acc.union_owned(s);
             }
-            acc
         }
         FrameOp::Join => {
-            let mut iter = slots.into_iter();
-            let Some(first) = iter.next() else {
-                return (ResultSet::default(), true);
-            };
-            let mut acc = first.clone();
-            for s in iter {
-                acc = acc.join(s);
+            for s in slots {
+                acc = acc.join(&s);
             }
-            acc
         }
-        FrameOp::Race => {
-            // The winning (non-partial) slot if any, else the first filled.
-            slots.first().map(|s| (*s).clone()).unwrap_or_default()
-        }
-    };
-    (combined, frame.partial && frame.op != FrameOp::Race)
+        // The winning (non-partial) slot if any, else the first filled.
+        FrameOp::Race => {}
+    }
+    (acc, partial)
 }
 
 impl NodeLogic for PeerNode {
@@ -3199,7 +3200,7 @@ impl NodeLogic for PeerNode {
                 // In-order drain over possibly reordered or duplicated
                 // batches (smaller packets travel faster; retries resend
                 // from the start).
-                let (drained, incomplete, columns) = {
+                let (drained, incomplete) = {
                     let state = self.streams.entry(tag).or_default();
                     if state.columns.is_empty() {
                         state.columns = result.columns.clone();
@@ -3214,9 +3215,9 @@ impl NodeLogic for PeerNode {
                     }
                     let mut drained = state.ingest(seq, result.rows, last);
                     if needs_backfill && !drained.is_empty() {
-                        drained = state.acc.clone();
+                        drained = 0..drained.end;
                     }
-                    (drained, !state.complete(), state.columns.clone())
+                    (drained, !state.complete())
                 };
                 if incomplete {
                     // Credit-based backpressure: acknowledge the packet so
@@ -3251,11 +3252,7 @@ impl NodeLogic for PeerNode {
                     ctx.send(from, msg, bytes);
                 }
                 if !drained.is_empty() {
-                    let batch = ResultSet {
-                        columns,
-                        rows: drained,
-                    };
-                    self.consume_batch(ctx, qid, frame_id, slot, batch);
+                    self.consume_batch(ctx, qid, frame_id, slot, tag, drained);
                 }
                 if incomplete {
                     return;
@@ -3323,7 +3320,10 @@ impl NodeLogic for PeerNode {
                 self.execute(ctx, qid, plan, Completion::Root { qid });
             }
             Msg::ClientQuery { qid, query } => {
-                self.begin_query(ctx, qid, query, Some(peer_of(from)));
+                // A query a peer poses to itself has no client to answer:
+                // the outcome is recorded and no `ClientAnswer` is sent.
+                let client = Some(peer_of(from)).filter(|&c| c != self.id);
+                self.begin_query(ctx, qid, query, client);
             }
             Msg::ClientAnswer { qid, result } => {
                 self.client_answers.insert(qid, result);
@@ -3864,6 +3864,57 @@ mod tests {
         assert_eq!(client.client_answers.get(&QueryId(1)).unwrap().len(), 1);
     }
 
+    /// A `ClientQuery` a peer sends itself records its outcome and owes
+    /// no `ClientAnswer`; the same query from a separate client node still
+    /// gets exactly one.
+    #[test]
+    fn self_posed_query_sends_no_client_answer() {
+        let schema = fig1_schema();
+        let mut p1 = PeerNode::simple(
+            PeerId(1),
+            base_with(&schema, &[("a", "prop1", "b")]),
+            adhoc_config(),
+        );
+        let ad1 = p1.own_advertisement().unwrap();
+        p1.registry.register(ad1);
+        let mut sim: Simulator<PeerNode> = Simulator::default();
+        sim.add_node(NodeId(1), p1);
+        sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
+        let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
+
+        // Poses query `qid` at P1 from `from`; returns the messages the
+        // transport delivered for it.
+        let pose = |sim: &mut Simulator<PeerNode>, from: NodeId, qid: u64| {
+            let before = sim.metrics().total_messages();
+            let msg = Msg::ClientQuery {
+                qid: QueryId(qid),
+                query: query.clone(),
+            };
+            let bytes = msg.wire_size();
+            sim.inject(from, NodeId(1), msg, bytes);
+            sim.run_to_quiescence();
+            sim.metrics().total_messages() - before
+        };
+
+        assert_eq!(pose(&mut sim, NodeId(1), 1), 1, "only the query travels");
+        let p1 = sim.node(NodeId(1)).unwrap();
+        assert_eq!(p1.outcomes[&QueryId(1)].result.len(), 1);
+        assert!(p1.client_answers.is_empty());
+        assert_eq!(sim.metrics().node(NodeId(99)).messages_received, 0);
+
+        assert_eq!(pose(&mut sim, NodeId(99), 2), 2, "query plus one answer");
+        assert_eq!(
+            sim.node(NodeId(1)).unwrap().outcomes[&QueryId(2)]
+                .result
+                .len(),
+            1
+        );
+        let client = sim.node(NodeId(99)).unwrap();
+        assert_eq!(client.client_answers.len(), 1);
+        assert_eq!(client.client_answers[&QueryId(2)].len(), 1);
+        assert_eq!(sim.metrics().node(NodeId(99)).messages_received, 1);
+    }
+
     /// With tracing on, a completed root query exposes well-nested spans,
     /// a per-phase profile, and an EXPLAIN of its optimisation pipeline.
     #[test]
@@ -4164,12 +4215,14 @@ mod tests {
         // A duplicate of the buffered packet changes nothing.
         assert!(st.ingest(1, vec![row(1)], false).is_empty());
         // seq 0 arrives: both drain, in order.
-        assert_eq!(st.ingest(0, vec![row(0)], false), vec![row(0), row(1)]);
+        let drained = st.ingest(0, vec![row(0)], false);
+        assert_eq!(st.acc[drained], [row(0), row(1)]);
         // A duplicate of an already-drained packet is ignored.
         assert!(st.ingest(0, vec![row(0)], false).is_empty());
         assert!(!st.complete());
         // The final packet closes the stream.
-        assert_eq!(st.ingest(2, vec![row(2)], true), vec![row(2)]);
+        let drained = st.ingest(2, vec![row(2)], true);
+        assert_eq!(st.acc[drained], [row(2)]);
         assert!(st.complete());
         let rs = st.assemble();
         assert_eq!(rs.rows, vec![row(0), row(1), row(2)]);

@@ -19,9 +19,10 @@
 
 use crate::ast::CmpOp;
 use crate::pattern::{CondOperand, Endpoint, QueryPattern, Term};
-use sqpeer_rdfs::{FxHashMap, FxHashSet, Node, Resource};
+use sqpeer_rdfs::{FxBuildHasher, FxHashMap, FxHashSet, Node, Resource};
 use sqpeer_store::{BaseStatistics, DescriptionBase, InternedBase, SymId};
 use std::collections::HashSet;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// One result row; columns follow [`ResultSet::columns`].
 pub type Row = Vec<Node>;
@@ -63,31 +64,33 @@ impl ResultSet {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// Appends every row not already present (hash-based set insertion;
-    /// node clones are cheap `Arc` bumps).
+    /// Appends every row not already present, moving each new row in
+    /// (the dedup index compares rows in place; nothing is cloned).
     pub fn extend_distinct(&mut self, rows: impl IntoIterator<Item = Row>) {
-        let mut seen: FxHashSet<Row> = self.rows.iter().cloned().collect();
+        let mut index = RowIndex::over(&self.rows);
         for row in rows {
-            if seen.insert(row.clone()) {
-                self.rows.push(row);
-            }
+            index.push_row(&mut self.rows, row);
         }
     }
 
-    /// Unions many result sets in one pass, building the dedup set once
+    /// Where each of `self`'s columns sits in `other`; `None` when
+    /// `other` lacks one of them.
+    fn permutation_of(&self, other: &ResultSet) -> Option<Vec<usize>> {
+        self.columns.iter().map(|c| other.column_index(c)).collect()
+    }
+
+    /// Unions many result sets in one pass, building the dedup index once
     /// instead of re-hashing the accumulator per input (the merge step of
     /// wide horizontal-distribution unions).
     pub fn union_all<'a>(&mut self, parts: impl IntoIterator<Item = &'a ResultSet>) {
-        let mut seen: FxHashSet<Row> = self.rows.iter().cloned().collect();
+        let mut index = RowIndex::over(&self.rows);
         for part in parts {
-            let perm: Option<Vec<usize>> =
-                self.columns.iter().map(|c| part.column_index(c)).collect();
-            let Some(perm) = perm else { continue };
+            let Some(perm) = self.permutation_of(part) else {
+                continue;
+            };
+            let perm = &perm[..];
             for row in &part.rows {
-                let row: Row = perm.iter().map(|&i| row[i].clone()).collect();
-                if seen.insert(row.clone()) {
-                    self.rows.push(row);
-                }
+                index.push_cells(&mut self.rows, move || perm.iter().map(move |&i| &row[i]));
             }
         }
     }
@@ -101,21 +104,36 @@ impl ResultSet {
         self.union_all([other]);
     }
 
+    /// [`union`](Self::union) consuming `other`: when its columns already
+    /// line up with `self`'s, its new rows move in instead of being
+    /// copied cell by cell.
+    pub fn union_owned(&mut self, other: ResultSet) {
+        let lined_up = other.columns.len() == self.columns.len()
+            && self
+                .permutation_of(&other)
+                .is_some_and(|perm| perm.iter().enumerate().all(|(k, &i)| k == i));
+        if lined_up {
+            self.extend_distinct(other.rows);
+        } else {
+            self.union(&other);
+        }
+    }
+
     /// [`union`](Self::union) that also returns the rows that were *new*
     /// to the accumulator (permuted into `self`'s column order). This is
     /// the streaming-union primitive: a pipelined merge point forwards
     /// exactly the delta downstream, preserving set semantics without
     /// re-sending rows an earlier batch already contributed.
     pub fn union_delta(&mut self, other: &ResultSet) -> Vec<Row> {
-        let mut seen: FxHashSet<Row> = self.rows.iter().cloned().collect();
         let mut delta = Vec::new();
-        let perm: Option<Vec<usize>> = self.columns.iter().map(|c| other.column_index(c)).collect();
-        let Some(perm) = perm else { return delta };
+        let Some(perm) = self.permutation_of(other) else {
+            return delta;
+        };
+        let perm = &perm[..];
+        let mut index = RowIndex::over(&self.rows);
         for row in &other.rows {
-            let row: Row = perm.iter().map(|&i| row[i].clone()).collect();
-            if seen.insert(row.clone()) {
-                self.rows.push(row.clone());
-                delta.push(row);
+            if index.push_cells(&mut self.rows, move || perm.iter().map(move |&i| &row[i])) {
+                delta.push(self.rows.last().expect("just pushed").clone());
             }
         }
         delta
@@ -124,9 +142,9 @@ impl ResultSet {
     /// Natural hash join with `other` on all shared column names.
     ///
     /// Join keys are interned to dense integers first (one hash of each
-    /// node value per occurrence), so multi-column key comparison, the
-    /// build-side index and output dedup all run over `u32`s instead of
-    /// re-hashing URI strings.
+    /// node value per occurrence), so multi-column key comparison and the
+    /// build-side index run over `u32`s instead of re-hashing URI strings;
+    /// output rows are deduplicated in place and built only when new.
     ///
     /// This is the ⋈ of vertical distribution (§2.4), which "ensures
     /// correctness of query results".
@@ -144,16 +162,15 @@ impl ResultSet {
         columns.extend(other_extra.iter().map(|&j| other.columns[j].clone()));
 
         let mut out = ResultSet::empty(columns);
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
+        let mut index = RowIndex::default();
+        let extra = &other_extra[..];
         if shared.is_empty() {
             // Cartesian product (only reachable through hand-built plans).
             for a in &self.rows {
                 for b in &other.rows {
-                    let mut row = a.clone();
-                    row.extend(other_extra.iter().map(|&j| b[j].clone()));
-                    if seen.insert(row.clone()) {
-                        out.rows.push(row);
-                    }
+                    index.push_cells(&mut out.rows, move || {
+                        a.iter().chain(extra.iter().map(move |&j| &b[j]))
+                    });
                 }
             }
             return out;
@@ -161,7 +178,7 @@ impl ResultSet {
         // Intern the build side's key columns; probe keys that miss the
         // interner cannot match any build row.
         let mut intern: FxHashMap<&Node, u32> = FxHashMap::default();
-        let mut index: FxHashMap<Vec<u32>, Vec<&Row>> = FxHashMap::default();
+        let mut build: FxHashMap<Vec<u32>, Vec<&Row>> = FxHashMap::default();
         for b in &other.rows {
             let key: Vec<u32> = shared
                 .iter()
@@ -170,7 +187,7 @@ impl ResultSet {
                     *intern.entry(&b[j]).or_insert(next)
                 })
                 .collect();
-            index.entry(key).or_default().push(b);
+            build.entry(key).or_default().push(b);
         }
         for a in &self.rows {
             let key: Option<Vec<u32>> = shared
@@ -178,13 +195,11 @@ impl ResultSet {
                 .map(|&(i, _)| intern.get(&a[i]).copied())
                 .collect();
             let Some(key) = key else { continue };
-            if let Some(matches) = index.get(&key) {
-                for b in matches {
-                    let mut row = a.clone();
-                    row.extend(other_extra.iter().map(|&j| b[j].clone()));
-                    if seen.insert(row.clone()) {
-                        out.rows.push(row);
-                    }
+            if let Some(matches) = build.get(&key) {
+                for &b in matches {
+                    index.push_cells(&mut out.rows, move || {
+                        a.iter().chain(extra.iter().map(move |&j| &b[j]))
+                    });
                 }
             }
         }
@@ -195,12 +210,30 @@ impl ResultSet {
     pub fn project(&self, names: &[String]) -> ResultSet {
         let idx: Vec<usize> = names.iter().filter_map(|n| self.column_index(n)).collect();
         let mut out = ResultSet::empty(idx.iter().map(|&i| self.columns[i].clone()).collect());
-        out.extend_distinct(
-            self.rows
-                .iter()
-                .map(|row| idx.iter().map(|&i| row[i].clone()).collect::<Row>()),
-        );
+        let mut index = RowIndex::default();
+        let idx = &idx[..];
+        for row in &self.rows {
+            index.push_cells(&mut out.rows, move || idx.iter().map(move |&i| &row[i]));
+        }
         out
+    }
+
+    /// [`project`](Self::project) by value: a projection onto exactly the
+    /// current columns, in order, keeps the (already distinct) rows as
+    /// they are.
+    pub fn into_projected(self, names: &[String]) -> ResultSet {
+        if self.columns == names {
+            debug_assert!(
+                {
+                    let mut seen = FxHashSet::default();
+                    self.rows.iter().all(|row| seen.insert(row))
+                },
+                "result set rows must be distinct"
+            );
+            self
+        } else {
+            self.project(names)
+        }
     }
 
     /// Applies a Top-N clause: stable-sorts by the named column (resources
@@ -239,6 +272,97 @@ impl ResultSet {
         let cell = 24; // average serialized URI/literal size
         self.columns.iter().map(|c| c.len()).sum::<usize>()
             + self.rows.len() * self.columns.len() * cell
+    }
+}
+
+/// Sentinel closing a [`RowIndex`] collision chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// A dedup index over a `Vec<Row>` that never copies a row to probe it:
+/// each distinct row hash maps to the most recent position carrying it,
+/// and `next` links every position to the previous one with the same
+/// hash. Membership walks that chain comparing rows in place, so a
+/// candidate row — owned, or a permuted view of borrowed cells — is
+/// materialised once, and only when it is new.
+#[derive(Debug, Default)]
+struct RowIndex {
+    heads: FxHashMap<u64, u32>,
+    next: Vec<u32>,
+}
+
+/// Hashes a row from its cells, so an owned row and a permuted view of
+/// the same cells hash alike.
+fn row_hash<'a>(cells: impl Iterator<Item = &'a Node>) -> u64 {
+    let mut h = FxBuildHasher::default().build_hasher();
+    for cell in cells {
+        cell.hash(&mut h);
+    }
+    h.finish()
+}
+
+impl RowIndex {
+    /// Indexes `rows` as they stand (duplicates among them simply share
+    /// a chain).
+    fn over(rows: &[Row]) -> Self {
+        let mut index = RowIndex {
+            heads: FxHashMap::with_capacity_and_hasher(rows.len(), Default::default()),
+            next: Vec::with_capacity(rows.len()),
+        };
+        for row in rows {
+            index.link(row_hash(row.iter()));
+        }
+        index
+    }
+
+    /// Records the row about to be pushed at position `next.len()`.
+    fn link(&mut self, hash: u64) {
+        let pos = u32::try_from(self.next.len()).expect("row index overflow");
+        let head = self.heads.entry(hash).or_insert(CHAIN_END);
+        self.next.push(*head);
+        *head = pos;
+    }
+
+    /// Does `rows` already hold a row equal to `cells` (hashing to `hash`)?
+    fn contains<'a, I>(&self, rows: &[Row], hash: u64, cells: impl Fn() -> I) -> bool
+    where
+        I: Iterator<Item = &'a Node>,
+    {
+        debug_assert_eq!(rows.len(), self.next.len(), "index out of step with rows");
+        let mut pos = self.heads.get(&hash).copied().unwrap_or(CHAIN_END);
+        while pos != CHAIN_END {
+            if rows[pos as usize].iter().eq(cells()) {
+                return true;
+            }
+            pos = self.next[pos as usize];
+        }
+        false
+    }
+
+    /// Appends the row `cells` describes to `rows` unless an equal row is
+    /// already there; returns whether it was appended.
+    fn push_cells<'a, I>(&mut self, rows: &mut Vec<Row>, cells: impl Fn() -> I) -> bool
+    where
+        I: Iterator<Item = &'a Node>,
+    {
+        let hash = row_hash(cells());
+        if self.contains(rows, hash, &cells) {
+            return false;
+        }
+        self.link(hash);
+        rows.push(cells().cloned().collect());
+        true
+    }
+
+    /// [`push_cells`](Self::push_cells) for an owned row: moved in when
+    /// new, dropped otherwise.
+    fn push_row(&mut self, rows: &mut Vec<Row>, row: Row) -> bool {
+        let hash = row_hash(row.iter());
+        if self.contains(rows, hash, || row.iter()) {
+            return false;
+        }
+        self.link(hash);
+        rows.push(row);
+        true
     }
 }
 
@@ -1083,6 +1207,40 @@ mod tests {
         assert_eq!(rs.len(), 2);
         rs.extend_distinct(vec![vec![Node::Resource(r(2))], vec![Node::Resource(r(3))]]);
         assert_eq!(rs.len(), 3);
+    }
+
+    #[test]
+    fn row_index_walks_collision_chains() {
+        // Equal prefixes, so only a full-width comparison separates them.
+        let first = vec![Node::Resource(r(1)), Node::Resource(r(2))];
+        let second = vec![Node::Resource(r(1)), Node::Resource(r(3))];
+        let third = [Node::Resource(r(1)), Node::Resource(r(4))];
+        // File two distinct rows under one forced hash: only the in-place
+        // comparison along the chain can tell them apart.
+        const HASH: u64 = 7;
+        let mut rows: Vec<Row> = Vec::new();
+        let mut index = RowIndex::default();
+        for row in [&first, &second] {
+            assert!(!index.contains(&rows, HASH, || row.iter()));
+            index.link(HASH);
+            rows.push(row.clone());
+        }
+        assert_eq!(index.heads.len(), 1, "both rows share one chain");
+        // A duplicate of the second row hits the chain head; one of the
+        // first row is found by walking past it; a new row misses.
+        let dup = second.clone();
+        assert!(index.contains(&rows, HASH, || dup.iter()));
+        assert!(index.contains(&rows, HASH, || first.iter()));
+        assert!(!index.contains(&rows, HASH, || third.iter()));
+        // The same rows under their true hashes: duplicates are refused,
+        // new rows appended in order.
+        let mut rows: Vec<Row> = Vec::new();
+        let mut index = RowIndex::default();
+        assert!(index.push_row(&mut rows, first.clone()));
+        assert!(index.push_cells(&mut rows, || second.iter()));
+        assert!(!index.push_row(&mut rows, dup));
+        assert!(!index.push_cells(&mut rows, || first.iter()));
+        assert_eq!(rows, vec![first, second]);
     }
 
     #[test]

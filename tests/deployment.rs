@@ -236,8 +236,8 @@ fn ask_host(addr: SocketAddr, n: u64) -> Vec<usize> {
 }
 
 /// A long-running host keeps no answer once it has replied: the pump
-/// moves each outcome out of the root and drops the client's copy, so
-/// memory stays flat however many queries a host serves.
+/// moves each outcome out of the root, the group's only copy, so memory
+/// stays flat however many queries a host serves.
 #[test]
 fn host_retains_no_answers_after_replying() {
     let handle = spawn_host(HostConfig {
@@ -258,6 +258,42 @@ fn host_retains_no_answers_after_replying() {
         "answers retained after 50 replies: {status}"
     );
     handle.shutdown();
+}
+
+/// A group ships each answer once: a query posed at a member comes from
+/// the member itself, so on a one-member group it costs the transport
+/// exactly one delivered message, the `ClientQuery`, and no in-group
+/// `ClientAnswer` copy of the answer.
+#[test]
+fn posed_query_delivers_only_the_query() {
+    let schema = fig1_schema();
+    let mut bases = fig2_bases(&schema);
+    bases.truncate(1);
+    let spec = GroupSpec {
+        bases,
+        schema,
+        config: PeerConfig::default(),
+    };
+    let mut schemas = SchemaRegistry::new();
+    schemas.register(fig1_schema());
+    let mut net: LoopbackNet<PeerNode> = LoopbackNet::new(schemas);
+    let mut group = assemble(&mut net, spec, 50_000);
+    let query = group
+        .compile(fig1_query_text())
+        .expect("fixture query compiles");
+    let at = group.peers[0];
+    for _ in 0..3 {
+        let before = net.metrics().total_messages();
+        let qid = pose(&mut net, &mut group, at, query.clone());
+        assert!(await_outcome(&mut net, at, qid, 5_000, 5_000_000));
+        assert!(!outcome(&net, at, qid).expect("awaited").result.is_empty());
+        assert_eq!(
+            net.metrics().total_messages() - before,
+            1,
+            "a posed query must deliver only itself"
+        );
+    }
+    assert_eq!(net.decode_failures(), 0);
 }
 
 /// Blocking accepts must not make shutdown slow: a host with a status
