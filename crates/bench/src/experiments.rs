@@ -5,7 +5,7 @@
 use crate::table::{f1, ms, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqpeer::exec::{node_of, PeerConfig, PeerMode};
+use sqpeer::exec::{inject, node_of, PeerConfig, PeerMode};
 use sqpeer::overlay::{oracle_answer, oracle_base, HybridBuilder};
 use sqpeer::plan::{
     distribute_joins, flatten_joins, generate_plan, merge_same_peer, optimize, CostParams,
@@ -2186,8 +2186,7 @@ fn e19() -> String {
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
         let qid = QueryId(19);
         let msg = Msg::ClientQuery { qid, query };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let root = sim.node(NodeId(1)).unwrap();

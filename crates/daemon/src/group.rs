@@ -13,7 +13,7 @@
 //! group holds exactly one copy of each answer.
 
 use sqpeer_exec::{
-    node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome, Role,
+    inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome, Role,
 };
 use sqpeer_net::Transport;
 use sqpeer_rdfs::Schema;
@@ -92,9 +92,7 @@ pub fn assemble<T: Transport<PeerNode>>(
             if other == peer {
                 continue;
             }
-            let msg = Msg::RequestAds { depth: 1 };
-            let bytes = msg.wire_size();
-            transport.inject(node_of(peer), node_of(other), msg, bytes);
+            inject(transport, peer, other, Msg::RequestAds { depth: 1 });
         }
     }
     transport.step_for(settle_us);
@@ -117,9 +115,7 @@ pub fn pose<T: Transport<PeerNode>>(
 ) -> QueryId {
     let qid = QueryId(group.next_qid);
     group.next_qid += 1;
-    let msg = Msg::ClientQuery { qid, query };
-    let bytes = msg.wire_size();
-    transport.inject(node_of(at), node_of(at), msg, bytes);
+    inject(transport, at, at, Msg::ClientQuery { qid, query });
     qid
 }
 

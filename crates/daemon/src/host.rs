@@ -215,6 +215,9 @@ fn pump(mut net: LoopbackNet<PeerNode>, mut group: Group, commands: Receiver<Com
             None => commands.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         match command {
+            // A query addressed to a non-member would never be answered:
+            // dropping `reply` closes the client's connection instead.
+            Ok(Command::Query { at, .. }) if !group.peers.contains(&at) => {}
             Ok(Command::Query { at, query, reply }) => {
                 let qid = group::pose(&mut net, &mut group, at, query);
                 in_flight.insert(qid, InFlight { at, reply });

@@ -30,13 +30,43 @@ pub use sqpeer_cache::{CacheConfig, CacheStats};
 pub use sqpeer_plan::Explain;
 pub use sqpeer_trace::{spans_well_nested, stitched_well_nested, QueryProfile, TraceEvent, Tracer};
 
+use sqpeer_net::{Ctx, Transport};
+use sqpeer_routing::PeerId;
+
 /// Maps a routing-level [`PeerId`](sqpeer_routing::PeerId) onto its
 /// simulator node (the two id spaces coincide by construction).
-pub fn node_of(peer: sqpeer_routing::PeerId) -> sqpeer_net::NodeId {
+pub fn node_of(peer: PeerId) -> sqpeer_net::NodeId {
     sqpeer_net::NodeId(peer.0)
 }
 
 /// Maps a simulator node id back to the routing-level peer id.
-pub fn peer_of(node: sqpeer_net::NodeId) -> sqpeer_routing::PeerId {
-    sqpeer_routing::PeerId(node.0)
+pub fn peer_of(node: sqpeer_net::NodeId) -> PeerId {
+    PeerId(node.0)
+}
+
+/// Injects `msg` from `from` to `to` on a driver's transport, charged
+/// [`Msg::wire_size`] bytes — the driver-side twin of `send`.
+pub fn inject<T: Transport<PeerNode>>(transport: &mut T, from: PeerId, to: PeerId, msg: Msg) {
+    let bytes = msg.wire_size();
+    transport.inject(node_of(from), node_of(to), msg, bytes);
+}
+
+/// Sends `msg` to `to` from inside a peer handler, charged
+/// [`Msg::wire_size`] bytes. Together with [`broadcast`] and [`inject`]
+/// this is the only place a message's byte charge is decided; the charge
+/// is returned for the root's per-query byte counters.
+pub(crate) fn send(ctx: &mut Ctx<Msg>, to: PeerId, msg: Msg) -> usize {
+    let bytes = msg.wire_size();
+    ctx.send(node_of(to), msg, bytes);
+    bytes
+}
+
+/// Sends one copy of `msg` to each of `to`, in order, sized once.
+/// Returns the per-copy byte charge.
+pub(crate) fn broadcast(ctx: &mut Ctx<Msg>, to: &[PeerId], msg: Msg) -> usize {
+    let bytes = msg.wire_size();
+    for &peer in to {
+        ctx.send(node_of(peer), msg.clone(), bytes);
+    }
+    bytes
 }

@@ -16,7 +16,7 @@
 
 use crate::local::{eval_local, fully_local};
 use crate::msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome};
-use crate::{node_of, peer_of};
+use crate::{broadcast, node_of, peer_of, send};
 use sqpeer_cache::{CacheConfig, CacheStats, SemanticCache};
 use sqpeer_net::{Channel, ChannelTable, Ctx, NodeId, NodeLogic, PatternStats, TelemetryRegistry};
 use sqpeer_plan::{
@@ -376,6 +376,12 @@ impl RootQuery {
             plan_ready_at_us: None,
         }
     }
+
+    /// Counts one message of `bytes` this root sent for its query.
+    fn note_sent(&mut self, bytes: usize) {
+        self.messages_sent += 1;
+        self.bytes_sent += bytes as u64;
+    }
 }
 
 /// How a finished subtree result is consumed.
@@ -622,6 +628,46 @@ struct HierGather {
     pending: HashSet<PeerId>,
 }
 
+/// An armed timer: the protocol machine it drives and the state it
+/// carries. Every timer lives in [`PeerNode`]'s one timer table under
+/// its id; [`Timer::kind`] names it for the conformance replayer.
+#[derive(Debug)]
+enum Timer {
+    /// Periodic lease renewal towards the holders of this peer's ad.
+    Heartbeat,
+    /// Periodic sweep of expired advertisement leases.
+    Sweep,
+    /// Periodic observability rollup push.
+    Obs,
+    /// Timeout of a hierarchical scatter/gather, by query.
+    HierGather(QueryId),
+    /// A completion deferred by the processing-delay model. Boxed so the
+    /// per-subplan entries stay small.
+    Completion(Box<(Completion, ResultSet, bool)>),
+    /// The next production tick of a paced outgoing stream.
+    Production(StreamKey),
+    /// Slow-channel probe of an outstanding subplan, by tag.
+    Probe(u64),
+    /// Subplan timeout of an outstanding subplan, by tag.
+    Timeout(u64),
+}
+
+impl Timer {
+    /// The machine name the conformance traces select timers by.
+    fn kind(&self) -> &'static str {
+        match self {
+            Timer::Heartbeat => "heartbeat",
+            Timer::Sweep => "sweep",
+            Timer::Obs => "obs",
+            Timer::HierGather(_) => "hier-gather",
+            Timer::Completion(_) => "completion",
+            Timer::Production(_) => "production",
+            Timer::Probe(_) => "probe",
+            Timer::Timeout(_) => "timeout",
+        }
+    }
+}
+
 /// The peer node: state machine over the simulated network.
 pub struct PeerNode {
     /// This peer's id (coincides with its simulator node id).
@@ -664,13 +710,6 @@ pub struct PeerNode {
     /// Route requests this super-peer relayed on the backbone:
     /// query id → the node the eventual response must be forwarded to.
     route_relays: HashMap<QueryId, PeerId>,
-    /// Completions deferred by the processing-delay model, keyed by timer.
-    delayed: HashMap<u64, (Completion, ResultSet, bool)>,
-    /// Subplan-timeout timers: timer id → outstanding tag.
-    timeouts: HashMap<u64, u64>,
-    /// Slow-channel probe timers (armed only with `config.slow_channel`
-    /// set): timer id → outstanding tag.
-    probes: HashMap<u64, u64>,
     /// Subplans waiting for a processing slot (FIFO).
     slot_queue: std::collections::VecDeque<(PeerChannel, QueryId, u64, PlanNode, Vec<PeerId>)>,
     /// Partially received streamed results, keyed by outstanding tag:
@@ -678,9 +717,8 @@ pub struct PeerNode {
     streams: HashMap<u64, StreamState>,
     /// Credit-gated outgoing result streams this peer is the sender of.
     outgoing: HashMap<StreamKey, OutgoingStream>,
-    /// Production pacing timers (processing-load model over streamed
-    /// results): timer id → outgoing stream key.
-    productions: HashMap<u64, StreamKey>,
+    /// Every armed timer, by id (see [`Timer`]).
+    timers: HashMap<u64, Timer>,
     next_timer: u64,
     /// Idempotent receive: highest attempt served per subplan identity
     /// `(root peer, query, tag)` — keyed on the transport-agnostic
@@ -707,12 +745,6 @@ pub struct PeerNode {
     last_cluster_summary: Option<ActiveSchema>,
     /// In-flight hierarchical scatter/gathers, by query.
     hier_gathers: HashMap<QueryId, HierGather>,
-    /// Gather-timeout timers: timer id → query id.
-    hier_timers: HashMap<u64, QueryId>,
-    /// Timer ids driving periodic heartbeats.
-    heartbeat_timers: HashSet<u64>,
-    /// Timer ids driving periodic lease sweeps.
-    sweep_timers: HashSet<u64>,
     /// Routing/plan memoisation (None when disabled by config). RefCell
     /// because routing entry points take `&self`.
     cache: Option<RefCell<SemanticCache>>,
@@ -733,8 +765,6 @@ pub struct PeerNode {
     pub credits_granted: u64,
     /// The observability plane (None when `config.obs` is unset).
     obs: Option<crate::obs::ObsState>,
-    /// Timer ids driving periodic rollup pushes.
-    obs_timers: HashSet<u64>,
 }
 
 impl PeerNode {
@@ -767,13 +797,10 @@ impl PeerNode {
             outstanding: HashMap::new(),
             next_tag: 0,
             route_relays: HashMap::new(),
-            delayed: HashMap::new(),
-            timeouts: HashMap::new(),
-            probes: HashMap::new(),
             slot_queue: std::collections::VecDeque::new(),
             streams: HashMap::new(),
             outgoing: HashMap::new(),
-            productions: HashMap::new(),
+            timers: HashMap::new(),
             next_timer: 0,
             served: HashMap::new(),
             lease_expiry: HashMap::new(),
@@ -783,9 +810,6 @@ impl PeerNode {
             cluster_summaries: HashMap::new(),
             last_cluster_summary: None,
             hier_gathers: HashMap::new(),
-            hier_timers: HashMap::new(),
-            heartbeat_timers: HashSet::new(),
-            sweep_timers: HashSet::new(),
             cache,
             tracer,
             profiles: HashMap::new(),
@@ -793,7 +817,6 @@ impl PeerNode {
             max_stream_inflight: 0,
             credits_granted: 0,
             obs,
-            obs_timers: HashSet::new(),
         }
     }
 
@@ -918,12 +941,10 @@ impl PeerNode {
                             backbone_ttl: self.config.backbone_ttl,
                             partial: None,
                         };
-                        let bytes = msg.wire_size();
+                        let bytes = send(ctx, sp, msg);
                         if let Some(root) = self.rooted.get_mut(&qid) {
-                            root.messages_sent += 1;
-                            root.bytes_sent += bytes as u64;
+                            root.note_sent(bytes);
                         }
-                        ctx.send(node_of(sp), msg, bytes);
                     }
                     None => self.finalize(ctx, qid, ResultSet::default(), true),
                 }
@@ -1063,27 +1084,19 @@ impl PeerNode {
     /// external drivers (the conformance replayer in `sqpeer-model`) can
     /// select "the retry timeout" or "the completion tick" without
     /// depending on arm order. Timer ids are opaque sequence numbers;
-    /// this resolves them against the same internal maps `on_timer` uses.
+    /// this resolves them against the timer table `on_timer` uses, and
+    /// answers "unknown" for ids that fired or were lost to a restart.
     pub fn timer_kind(&self, timer: u64) -> &'static str {
-        if self.heartbeat_timers.contains(&timer) {
-            "heartbeat"
-        } else if self.sweep_timers.contains(&timer) {
-            "sweep"
-        } else if self.delayed.contains_key(&timer) {
-            "completion"
-        } else if self.productions.contains_key(&timer) {
-            "production"
-        } else if self.probes.contains_key(&timer) {
-            "probe"
-        } else if self.hier_timers.contains_key(&timer) {
-            "hier-gather"
-        } else if self.timeouts.contains_key(&timer) {
-            "timeout"
-        } else if self.obs_timers.contains(&timer) {
-            "obs"
-        } else {
-            "unknown"
-        }
+        self.timers.get(&timer).map_or("unknown", Timer::kind)
+    }
+
+    /// Arms `timer` to fire after `delay_us`: the one place a timer id is
+    /// minted.
+    fn arm(&mut self, ctx: &mut Ctx<Msg>, delay_us: u64, timer: Timer) {
+        let id = self.next_timer;
+        self.next_timer += 1;
+        self.timers.insert(id, timer);
+        ctx.set_timer(delay_us, id);
     }
 
     // ------------------------------------------------------------------
@@ -1115,26 +1128,17 @@ impl PeerNode {
                 && !self.super_peers.contains(&peer)
                 && self.cluster.is_none()
             {
-                for &sp in &self.super_peers {
-                    let msg = Msg::Advertise(ad.clone());
-                    let bytes = msg.wire_size();
-                    ctx.send(node_of(sp), msg, bytes);
-                }
+                broadcast(ctx, &self.super_peers, Msg::Advertise(ad));
             }
         }
     }
 
-    /// Sends this peer's lease renewal to everyone holding its ad:
-    /// super-peers in hybrid mode, semantic neighbours in ad-hoc mode.
-    fn send_heartbeats(&mut self, ctx: &mut Ctx<Msg>) {
-        let targets: Vec<PeerId> = match self.config.mode {
-            PeerMode::Hybrid => self.super_peers.clone(),
-            PeerMode::Adhoc => self.neighbours.clone(),
-        };
-        for &p in &targets {
-            let msg = Msg::Heartbeat;
-            let bytes = msg.wire_size();
-            ctx.send(node_of(p), msg, bytes);
+    /// Everyone holding this peer's advertisement: super-peers in hybrid
+    /// mode, semantic neighbours in ad-hoc mode.
+    fn ad_holders(&self) -> &[PeerId] {
+        match self.config.mode {
+            PeerMode::Hybrid => &self.super_peers,
+            PeerMode::Adhoc => &self.neighbours,
         }
     }
 
@@ -1171,11 +1175,7 @@ impl PeerNode {
                         && !self.super_peers.contains(&peer)
                         && self.cluster.is_none()
                     {
-                        for &sp in &self.super_peers {
-                            let msg = Msg::ExpirePeer(ad.clone());
-                            let bytes = msg.wire_size();
-                            ctx.send(node_of(sp), msg, bytes);
-                        }
+                        broadcast(ctx, &self.super_peers, Msg::ExpirePeer(ad));
                     }
                 }
                 Some(_) => {}
@@ -1217,20 +1217,14 @@ impl PeerNode {
             }
         }
         if self.own_advertisement().is_some() {
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.heartbeat_timers.insert(timer);
-            ctx.set_timer(period, timer);
+            self.arm(ctx, period, Timer::Heartbeat);
         }
         // Lease sweeps run wherever advertisements are held: super-peers
         // in hybrid mode, every data peer in ad-hoc mode.
         if self.role == Role::Super
             || (self.config.mode == PeerMode::Adhoc && self.role == Role::Simple)
         {
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.sweep_timers.insert(timer);
-            ctx.set_timer(period, timer);
+            self.arm(ctx, period, Timer::Sweep);
         }
     }
 
@@ -1293,8 +1287,7 @@ impl PeerNode {
                 owner: self.id,
                 summary,
             };
-            let bytes = msg.wire_size();
-            ctx.send(node_of(cluster.head), msg, bytes);
+            send(ctx, cluster.head, msg);
         }
     }
 
@@ -1333,17 +1326,17 @@ impl PeerNode {
             return;
         }
         self.last_cluster_summary = Some(summary.clone());
-        for &h in &cluster.heads {
-            if h == self.id {
-                continue;
-            }
-            let msg = Msg::SummaryAdvertise {
-                owner: self.id,
-                summary: summary.clone(),
-            };
-            let bytes = msg.wire_size();
-            ctx.send(node_of(h), msg, bytes);
-        }
+        let others: Vec<PeerId> = cluster
+            .heads
+            .iter()
+            .copied()
+            .filter(|&h| h != self.id)
+            .collect();
+        let msg = Msg::SummaryAdvertise {
+            owner: self.id,
+            summary,
+        };
+        broadcast(ctx, &others, msg);
     }
 
     // ------------------------------------------------------------------
@@ -1387,13 +1380,9 @@ impl PeerNode {
     /// Arms the periodic rollup-push timer (no-op with the plane off or
     /// the push period zero — local-only collection).
     fn arm_obs_timer(&mut self, ctx: &mut Ctx<Msg>) {
-        let Some(period) = self.obs_push_period() else {
-            return;
-        };
-        let timer = self.next_timer;
-        self.next_timer += 1;
-        self.obs_timers.insert(timer);
-        ctx.set_timer(period, timer);
+        if let Some(period) = self.obs_push_period() {
+            self.arm(ctx, period, Timer::Obs);
+        }
     }
 
     /// Pushes this peer's rollup *delta* one level up the cluster tree.
@@ -1443,10 +1432,7 @@ impl PeerNode {
             registry,
             patterns,
         };
-        let bytes = msg.wire_size();
-        for &d in &dests {
-            ctx.send(node_of(d), msg.clone(), bytes);
-        }
+        let bytes = broadcast(ctx, &dests, msg);
         let obs = self.obs.as_mut().expect("checked above");
         obs.commit_push();
         obs.pushes_sent += dests.len() as u64;
@@ -1540,25 +1526,17 @@ impl PeerNode {
         }
         self.hier_gathers.insert(qid, gather);
         for (target, scope) in pending {
-            let msg = Msg::HierRouteRequest {
-                qid,
-                query: query.clone(),
-                scope,
-            };
-            let bytes = msg.wire_size();
-            ctx.send(node_of(target), msg, bytes);
+            let query = query.clone();
+            send(ctx, target, Msg::HierRouteRequest { qid, query, scope });
         }
         // Silent subtree losses (a crashed super-peer produces no delivery
         // failure) must not hang the query: a gather timeout converts
         // unanswered subtrees into known-missing contributors.
-        let timer = self.next_timer;
-        self.next_timer += 1;
-        self.hier_timers.insert(timer, qid);
         let delay = self
             .config
             .subplan_timeout_us
             .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
-        ctx.set_timer(delay, timer);
+        self.arm(ctx, delay, Timer::HierGather(qid));
     }
 
     /// Answers a finished gather. Annotations are sorted into the
@@ -1586,8 +1564,7 @@ impl PeerNode {
                 },
             ),
         };
-        let bytes = msg.wire_size();
-        ctx.send(node_of(to), msg, bytes);
+        send(ctx, to, msg);
     }
 
     fn continue_with_annotation(
@@ -1806,25 +1783,12 @@ impl PeerNode {
                         self.start_paced_stream(ctx, channel, qid, tag, result, batch);
                         return;
                     }
-                    // Single-packet result: fall through to the one-shot
-                    // processing delay.
-                    let delay = per_row * (result.len() as u64 + 1);
-                    let timer = self.next_timer;
-                    self.next_timer += 1;
-                    self.delayed.insert(
-                        timer,
-                        (Completion::Channel { channel, qid, tag }, result, false),
-                    );
-                    ctx.set_timer(delay, timer);
-                    return;
                 }
                 // Model the peer's processing load: the result is ready
                 // after `rows × per_row` virtual microseconds.
                 let delay = per_row * (result.len() as u64 + 1);
-                let timer = self.next_timer;
-                self.next_timer += 1;
-                self.delayed.insert(timer, (completion, result, false));
-                ctx.set_timer(delay, timer);
+                let deferred = Box::new((completion, result, false));
+                self.arm(ctx, delay, Timer::Completion(deferred));
             } else {
                 self.complete(ctx, completion, result, false);
             }
@@ -1924,20 +1888,15 @@ impl PeerNode {
             },
         );
         if let Some(timeout) = self.config.subplan_timeout_us {
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.timeouts.insert(timer, tag);
-            ctx.set_timer(timeout, timer);
+            self.arm(ctx, timeout, Timer::Timeout(tag));
         }
         // Telemetry-driven adaptation probes the channel's throughput
         // window well before the timeout would fire (root side only —
         // forwarding peers leave slow channels to their own roots).
         if let Some(policy) = self.config.slow_channel {
             if self.rooted.contains_key(&qid) {
-                let timer = self.next_timer;
-                self.next_timer += 1;
-                self.probes.insert(timer, tag);
-                ctx.set_timer(policy.grace_us + policy.probe_interval_us, timer);
+                let first_probe = policy.grace_us + policy.probe_interval_us;
+                self.arm(ctx, first_probe, Timer::Probe(tag));
             }
         }
         let msg = Msg::Subplan {
@@ -1952,12 +1911,11 @@ impl PeerNode {
                 parent_start_us: ctx.now_us(),
             }),
         };
-        let bytes = msg.wire_size();
+        let bytes = send(ctx, dest, msg);
         if let Some(root) = self.rooted.get_mut(&qid) {
             root.dispatched += 1;
             root.peers_contacted.insert(dest);
-            root.messages_sent += 1;
-            root.bytes_sent += bytes as u64;
+            root.note_sent(bytes);
         }
         self.tracer
             .get_mut()
@@ -1967,7 +1925,6 @@ impl PeerNode {
         self.flight(ctx.now_us(), "dispatch", || {
             format!("{qid} subplan tag {tag} → {dest}")
         });
-        ctx.send(node_of(dest), msg, bytes);
     }
 
     /// Re-sends a timed-out subplan to the same destination (at-least-once
@@ -1987,10 +1944,7 @@ impl PeerNode {
             None => self.channels.open(self.id, dest),
         };
         ctx.note_retry();
-        let timer = self.next_timer;
-        self.next_timer += 1;
-        self.timeouts.insert(timer, tag);
-        ctx.set_timer(base_timeout << attempt.min(16), timer);
+        self.arm(ctx, base_timeout << attempt.min(16), Timer::Timeout(tag));
         let msg = Msg::Subplan {
             channel,
             qid,
@@ -2003,11 +1957,10 @@ impl PeerNode {
             visited,
             attempt,
         };
-        let bytes = msg.wire_size();
+        let bytes = send(ctx, dest, msg);
         if let Some(root) = self.rooted.get_mut(&qid) {
             root.retries += 1;
-            root.messages_sent += 1;
-            root.bytes_sent += bytes as u64;
+            root.note_sent(bytes);
         }
         self.tracer
             .get_mut()
@@ -2017,7 +1970,6 @@ impl PeerNode {
         self.flight(ctx.now_us(), "retry", || {
             format!("{qid} subplan tag {tag} → {dest}, attempt {attempt}")
         });
-        ctx.send(node_of(dest), msg, bytes);
     }
 
     fn complete(
@@ -2067,8 +2019,7 @@ impl PeerNode {
                         seq: 0,
                         last: true,
                     };
-                    let bytes = msg.wire_size();
-                    ctx.send(node_of(channel.root), msg, bytes);
+                    send(ctx, channel.root, msg);
                 } else {
                     // Stream the result as a credit-gated pipeline of
                     // data packets: at most `stream_credit_window` are in
@@ -2108,9 +2059,7 @@ impl PeerNode {
                 // A forwarding stream may have pipelined batches already;
                 // the failure supersedes it.
                 self.outgoing.remove(&(channel.root, qid, tag));
-                let msg = Msg::SubplanFailed { channel, qid, tag };
-                let bytes = msg.wire_size();
-                ctx.send(node_of(channel.root), msg, bytes);
+                send(ctx, channel.root, Msg::SubplanFailed { channel, qid, tag });
             }
             Completion::Root { qid } => self.finalize(ctx, qid, ResultSet::default(), true),
         }
@@ -2153,8 +2102,7 @@ impl PeerNode {
                 stream.window
             );
             high_water = high_water.max(stream.inflight);
-            let bytes = msg.wire_size();
-            ctx.send(node_of(stream.channel.root), msg, bytes);
+            send(ctx, stream.channel.root, msg);
         }
         self.max_stream_inflight = self.max_stream_inflight.max(high_water);
         if sent_last {
@@ -2203,10 +2151,8 @@ impl PeerNode {
                 sent_acc: None,
             },
         );
-        let timer = self.next_timer;
-        self.next_timer += 1;
-        self.productions.insert(timer, key);
-        ctx.set_timer(self.config.processing_us_per_row * (first_rows + 1), timer);
+        let delay = self.config.processing_us_per_row * (first_rows + 1);
+        self.arm(ctx, delay, Timer::Production(key));
     }
 
     /// Pipelined consumption of the in-order rows just drained into
@@ -2407,11 +2353,8 @@ impl PeerNode {
             // The join work happens at this peer: charge its load before
             // the result moves on (§2.5's processing-load axis).
             let delay = per_row * (combined.len() as u64 + 1);
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.delayed
-                .insert(timer, (completion, combined, combined_partial));
-            ctx.set_timer(delay, timer);
+            let deferred = Box::new((completion, combined, combined_partial));
+            self.arm(ctx, delay, Timer::Completion(deferred));
         } else {
             self.complete(ctx, completion, combined, combined_partial);
         }
@@ -2576,9 +2519,7 @@ impl PeerNode {
             }
         }
         if let Some((client, result)) = answer {
-            let msg = Msg::ClientAnswer { qid, result };
-            let bytes = msg.wire_size();
-            ctx.send(node_of(client), msg, bytes);
+            send(ctx, client, Msg::ClientAnswer { qid, result });
         }
     }
 
@@ -2637,10 +2578,7 @@ impl PeerNode {
         let floor_bpms = (expected * policy.min_fraction_permille / 1_000).max(1);
         let observed_bpms = bytes * 1_000 / window_us;
         if observed_bpms >= floor_bpms {
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.probes.insert(timer, tag);
-            ctx.set_timer(policy.probe_interval_us, timer);
+            self.arm(ctx, policy.probe_interval_us, Timer::Probe(tag));
             return;
         }
         let now = ctx.now_us();
@@ -2663,6 +2601,53 @@ impl PeerNode {
         self.channels.fail_towards(dest);
         self.channels.sweep();
         self.handle_lost_subplan(ctx, pending, ReplanCause::SlowChannel);
+    }
+
+    /// A subplan timeout fired. Still outstanding means the channel is
+    /// too slow or the message was silently lost — the timer is the only
+    /// signal the root ever gets: retry with backoff, then adapt. A
+    /// result that already arrived cleared the outstanding entry, making
+    /// this a no-op.
+    fn subplan_timed_out(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
+        let Some(pending) = self.outstanding.get(&tag) else {
+            return;
+        };
+        let (qid, attempt) = (pending.qid, pending.attempt);
+        ctx.note_timeout();
+        if let Some(root) = self.rooted.get_mut(&qid) {
+            root.timeouts += 1;
+        }
+        self.tracer
+            .get_mut()
+            .event_with(ctx.now_us(), qid.0, "exec:timeout", || {
+                format!("subplan tag {tag} timed out")
+            });
+        self.flight(ctx.now_us(), "timeout", || {
+            format!("{qid} subplan tag {tag} timed out")
+        });
+        if attempt < self.config.subplan_retries {
+            // At-least-once dispatch: retry the same destination with
+            // exponential backoff before giving up on it.
+            let base = self
+                .config
+                .subplan_timeout_us
+                .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
+            self.retry_subplan(ctx, tag, base);
+        } else if let Some(pending) = self.outstanding.remove(&tag) {
+            // Retries exhausted: treat the destination as gone, adapt
+            // (§2.5), and garbage-collect the dead channel entries.
+            let now = ctx.now_us();
+            self.note_adaptation(qid, || {
+                format!(
+                    "t={now}us timeout: subplan tag {tag} at {} abandoned after {} attempts — replanned",
+                    pending.dest,
+                    pending.attempt + 1
+                )
+            });
+            self.channels.fail_towards(pending.dest);
+            self.channels.sweep();
+            self.handle_lost_subplan(ctx, pending, ReplanCause::Timeout);
+        }
     }
 
     fn adapt_or_give_up(
@@ -2828,7 +2813,11 @@ impl PeerNode {
         // until a running local evaluation finishes (paced stream
         // productions occupy their slot until the last batch exists).
         if let Some(slots) = self.config.slots {
-            if self.delayed.len() + self.productions.len() >= slots.max(1) {
+            let busy = self
+                .timers
+                .values()
+                .filter(|t| matches!(t, Timer::Completion(_) | Timer::Production(_)));
+            if busy.count() >= slots.max(1) {
                 self.slot_queue
                     .push_back((channel, qid, tag, plan, visited));
                 return;
@@ -2861,6 +2850,13 @@ impl PeerNode {
                 let columns = plan_columns(&filled);
                 self.fail(ctx, completion, columns);
             }
+        }
+    }
+
+    /// A processing slot freed: serve the next queued subplan, if any.
+    fn admit_queued(&mut self, ctx: &mut Ctx<Msg>) {
+        if let Some((channel, qid, tag, plan, visited)) = self.slot_queue.pop_front() {
+            self.serve_subplan(ctx, channel, qid, tag, plan, visited, None);
         }
     }
 
@@ -3017,11 +3013,7 @@ impl NodeLogic for PeerNode {
                 self.departed.remove(&ad.peer);
                 self.registry.register(ad.clone());
                 if self.role == Role::Super && !from_backbone && self.cluster.is_none() {
-                    for &sp in &self.super_peers {
-                        let msg = Msg::Advertise(ad.clone());
-                        let bytes = msg.wire_size();
-                        ctx.send(node_of(sp), msg, bytes);
-                    }
+                    broadcast(ctx, &self.super_peers, Msg::Advertise(ad));
                 }
                 if self.role == Role::Super && self.cluster.is_some() {
                     self.push_summary(ctx, false);
@@ -3041,11 +3033,7 @@ impl NodeLogic for PeerNode {
                     && !self.super_peers.contains(&peer_of(from))
                     && self.cluster.is_none()
                 {
-                    for &sp in &self.super_peers {
-                        let msg = Msg::WithdrawPeer(peer_of(from));
-                        let bytes = msg.wire_size();
-                        ctx.send(node_of(sp), msg, bytes);
-                    }
+                    broadcast(ctx, &self.super_peers, Msg::WithdrawPeer(peer_of(from)));
                 }
             }
             Msg::WithdrawPeer(peer) => {
@@ -3064,11 +3052,7 @@ impl NodeLogic for PeerNode {
                     && !self.super_peers.contains(&peer)
                     && self.cluster.is_none()
                 {
-                    for &sp in &self.super_peers {
-                        let msg = Msg::HeartbeatPeer(peer);
-                        let bytes = msg.wire_size();
-                        ctx.send(node_of(sp), msg, bytes);
-                    }
+                    broadcast(ctx, &self.super_peers, Msg::HeartbeatPeer(peer));
                 }
             }
             Msg::HeartbeatPeer(peer) => {
@@ -3086,9 +3070,7 @@ impl NodeLogic for PeerNode {
             }
             Msg::RequestAds { .. } => {
                 let ads: Vec<Advertisement> = self.own_advertisement().into_iter().collect();
-                let msg = Msg::AdsResponse(ads);
-                let bytes = msg.wire_size();
-                ctx.send(from, msg, bytes);
+                send(ctx, peer_of(from), Msg::AdsResponse(ads));
             }
             Msg::AdsResponse(ads) => {
                 for ad in ads {
@@ -3115,8 +3097,7 @@ impl NodeLogic for PeerNode {
                         annotated,
                         missing,
                     };
-                    let bytes = msg.wire_size();
-                    ctx.send(node_of(requester), msg, bytes);
+                    send(ctx, requester, msg);
                 } else {
                     if let Some(root) = self.rooted.get_mut(&qid) {
                         // The super-peer named departed contributors: the
@@ -3231,7 +3212,7 @@ impl NodeLogic for PeerNode {
                         tag,
                         credits: 1,
                     };
-                    let bytes = msg.wire_size();
+                    let bytes = send(ctx, peer_of(from), msg);
                     self.credits_granted += 1;
                     self.flight(ctx.now_us(), "credit", || {
                         format!("{qid} stream tag {tag}: granted 1 credit")
@@ -3246,10 +3227,8 @@ impl NodeLogic for PeerNode {
                         );
                     }
                     if let Some(root) = self.rooted.get_mut(&qid) {
-                        root.messages_sent += 1;
-                        root.bytes_sent += bytes as u64;
+                        root.note_sent(bytes);
                     }
-                    ctx.send(from, msg, bytes);
                 }
                 if !drained.is_empty() {
                     self.consume_batch(ctx, qid, frame_id, slot, tag, drained);
@@ -3426,17 +3405,11 @@ impl NodeLogic for PeerNode {
         self.frames.clear();
         self.outstanding.clear();
         self.route_relays.clear();
-        self.delayed.clear();
-        self.timeouts.clear();
-        self.probes.clear();
+        self.timers.clear();
         self.slot_queue.clear();
         self.streams.clear();
         self.outgoing.clear();
-        self.productions.clear();
         self.served.clear();
-        self.heartbeat_timers.clear();
-        self.sweep_timers.clear();
-        self.obs_timers.clear();
         // Accumulated rollups survive the restart — registry links fold
         // latest-wins and pattern increments were counted exactly once,
         // so dropping them would lose history. Re-ripple what this peer
@@ -3448,7 +3421,6 @@ impl NodeLogic for PeerNode {
         // restarted head treats summary-less subtrees as intersecting
         // (conservative descent) until members re-push.
         self.hier_gathers.clear();
-        self.hier_timers.clear();
         self.member_summaries.clear();
         self.cluster_summaries.clear();
         self.last_pushed_summary = None;
@@ -3462,15 +3434,7 @@ impl NodeLogic for PeerNode {
         // Recovery protocol: re-advertise so holders whose sweep
         // tombstoned this peer restore its active-schema to routing.
         if let Some(ad) = self.own_advertisement() {
-            let targets: Vec<PeerId> = match self.config.mode {
-                PeerMode::Hybrid => self.super_peers.clone(),
-                PeerMode::Adhoc => self.neighbours.clone(),
-            };
-            for &p in &targets {
-                let msg = Msg::Advertise(ad.clone());
-                let bytes = msg.wire_size();
-                ctx.send(node_of(p), msg, bytes);
-            }
+            broadcast(ctx, self.ad_holders(), Msg::Advertise(ad));
         }
         // A restarted super-peer's registry is durable: re-push its merged
         // summary so the cluster tree prunes correctly again.
@@ -3482,141 +3446,80 @@ impl NodeLogic for PeerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, timer: u64) {
-        if self.obs_timers.remove(&timer) {
-            self.push_obs(ctx);
-            self.arm_obs_timer(ctx);
-            return;
-        }
-        if self.heartbeat_timers.remove(&timer) {
-            self.send_heartbeats(ctx);
-            let period = self.lease_period().expect("armed only with leases on");
-            let next = self.next_timer;
-            self.next_timer += 1;
-            self.heartbeat_timers.insert(next);
-            ctx.set_timer(period, next);
-            return;
-        }
-        if self.sweep_timers.remove(&timer) {
-            self.sweep_leases(ctx);
-            // Periodic summary re-push: heals a restarted head (whose
-            // summary tables are volatile) without any extra machinery.
-            // A sweep itself never changes the merged summary — expiry
-            // just moves an ad from the registry to the tombstones, and
-            // both feed the merge.
-            if self.role == Role::Super && self.cluster.is_some() {
-                self.push_summary(ctx, true);
+        match self.timers.remove(&timer) {
+            // Not in the table (armed before a restart): nothing to do.
+            None => {}
+            Some(Timer::Obs) => {
+                self.push_obs(ctx);
+                self.arm_obs_timer(ctx);
             }
-            let period = self.lease_period().expect("armed only with leases on");
-            let next = self.next_timer;
-            self.next_timer += 1;
-            self.sweep_timers.insert(next);
-            ctx.set_timer(period, next);
-            return;
-        }
-        if let Some(qid) = self.hier_timers.remove(&timer) {
-            // Gather timeout: subtrees that never answered (silently
-            // crashed super-peers produce no delivery failure) become
-            // known-missing contributors, so the root's answer is honestly
-            // flagged partial rather than silently incomplete.
-            if let Some(mut gather) = self.hier_gathers.remove(&qid) {
-                let mut lost: Vec<PeerId> = gather.pending.drain().collect();
-                lost.sort();
-                gather.missing.extend(lost);
-                self.finalize_hier_gather(ctx, qid, gather);
+            Some(Timer::Heartbeat) => {
+                // Lease renewal towards everyone holding this peer's ad.
+                broadcast(ctx, self.ad_holders(), Msg::Heartbeat);
+                let period = self.lease_period().expect("armed only with leases on");
+                self.arm(ctx, period, Timer::Heartbeat);
             }
-            return;
-        }
-        if let Some((completion, result, partial)) = self.delayed.remove(&timer) {
-            self.complete(ctx, completion, result, partial);
-            // A slot freed: admit the next queued subplan, if any.
-            if let Some((channel, qid, tag, plan, visited)) = self.slot_queue.pop_front() {
-                self.serve_subplan(ctx, channel, qid, tag, plan, visited, None);
+            Some(Timer::Sweep) => {
+                self.sweep_leases(ctx);
+                // Periodic summary re-push: heals a restarted head (whose
+                // summary tables are volatile) without any extra machinery.
+                // A sweep itself never changes the merged summary — expiry
+                // just moves an ad from the registry to the tombstones, and
+                // both feed the merge.
+                if self.role == Role::Super && self.cluster.is_some() {
+                    self.push_summary(ctx, true);
+                }
+                let period = self.lease_period().expect("armed only with leases on");
+                self.arm(ctx, period, Timer::Sweep);
             }
-            return;
-        }
-        if let Some(key) = self.productions.remove(&timer) {
-            // One more batch of a paced stream exists; ship what the
-            // credit window allows and schedule the next production tick.
-            let next_batch_rows = {
-                let Some(stream) = self.outgoing.get_mut(&key) else {
-                    return;
-                };
-                if let Some(rows) = stream.unproduced.pop_front() {
-                    stream.queued.push_back(rows);
+            Some(Timer::HierGather(qid)) => {
+                // Gather timeout: subtrees that never answered (silently
+                // crashed super-peers produce no delivery failure) become
+                // known-missing contributors, so the root's answer is
+                // honestly flagged partial rather than silently incomplete.
+                if let Some(mut gather) = self.hier_gathers.remove(&qid) {
+                    let mut lost: Vec<PeerId> = gather.pending.drain().collect();
+                    lost.sort();
+                    gather.missing.extend(lost);
+                    self.finalize_hier_gather(ctx, qid, gather);
                 }
-                if stream.unproduced.is_empty() {
-                    stream.finished = true;
-                    None
-                } else {
-                    Some(stream.unproduced.front().map_or(0, Vec::len) as u64)
-                }
-            };
-            match next_batch_rows {
-                Some(rows) => {
-                    let next = self.next_timer;
-                    self.next_timer += 1;
-                    self.productions.insert(next, key);
-                    ctx.set_timer(self.config.processing_us_per_row * rows, next);
-                }
-                None => {
-                    // Production finished: the processing slot frees.
-                    if let Some((channel, qid, tag, plan, visited)) = self.slot_queue.pop_front() {
-                        self.serve_subplan(ctx, channel, qid, tag, plan, visited, None);
+            }
+            Some(Timer::Completion(deferred)) => {
+                let (completion, result, partial) = *deferred;
+                self.complete(ctx, completion, result, partial);
+                // A slot freed: admit the next queued subplan, if any.
+                self.admit_queued(ctx);
+            }
+            Some(Timer::Production(key)) => {
+                // One more batch of a paced stream exists; ship what the
+                // credit window allows and schedule the next production
+                // tick.
+                let next_batch_rows = {
+                    let Some(stream) = self.outgoing.get_mut(&key) else {
+                        return;
+                    };
+                    if let Some(rows) = stream.unproduced.pop_front() {
+                        stream.queued.push_back(rows);
                     }
+                    if stream.unproduced.is_empty() {
+                        stream.finished = true;
+                        None
+                    } else {
+                        Some(stream.unproduced.front().map_or(0, Vec::len) as u64)
+                    }
+                };
+                match next_batch_rows {
+                    Some(rows) => {
+                        let delay = self.config.processing_us_per_row * rows;
+                        self.arm(ctx, delay, Timer::Production(key));
+                    }
+                    // Production finished: the processing slot frees.
+                    None => self.admit_queued(ctx),
                 }
+                self.flush_stream(ctx, key);
             }
-            self.flush_stream(ctx, key);
-            return;
-        }
-        if let Some(tag) = self.probes.remove(&timer) {
-            self.probe_channel(ctx, tag);
-            return;
-        }
-        if let Some(tag) = self.timeouts.remove(&timer) {
-            // The subplan is still outstanding: the channel is too slow
-            // or the message was silently lost — the timer is the only
-            // signal the root ever gets. A result that already arrived
-            // cleared the outstanding entry, making this a no-op.
-            if !self.outstanding.contains_key(&tag) {
-                return;
-            }
-            ctx.note_timeout();
-            let timed_out_qid = self.outstanding[&tag].qid;
-            if let Some(root) = self.rooted.get_mut(&timed_out_qid) {
-                root.timeouts += 1;
-            }
-            self.tracer
-                .get_mut()
-                .event_with(ctx.now_us(), timed_out_qid.0, "exec:timeout", || {
-                    format!("subplan tag {tag} timed out")
-                });
-            self.flight(ctx.now_us(), "timeout", || {
-                format!("{timed_out_qid} subplan tag {tag} timed out")
-            });
-            let attempt = self.outstanding[&tag].attempt;
-            if attempt < self.config.subplan_retries {
-                // At-least-once dispatch: retry the same destination with
-                // exponential backoff before giving up on it.
-                let base = self
-                    .config
-                    .subplan_timeout_us
-                    .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
-                self.retry_subplan(ctx, tag, base);
-            } else if let Some(pending) = self.outstanding.remove(&tag) {
-                // Retries exhausted: treat the destination as gone, adapt
-                // (§2.5), and garbage-collect the dead channel entries.
-                let now = ctx.now_us();
-                self.note_adaptation(timed_out_qid, || {
-                    format!(
-                        "t={now}us timeout: subplan tag {tag} at {} abandoned after {} attempts — replanned",
-                        pending.dest,
-                        pending.attempt + 1
-                    )
-                });
-                self.channels.fail_towards(pending.dest);
-                self.channels.sweep();
-                self.handle_lost_subplan(ctx, pending, ReplanCause::Timeout);
-            }
+            Some(Timer::Probe(tag)) => self.probe_channel(ctx, tag),
+            Some(Timer::Timeout(tag)) => self.subplan_timed_out(ctx, tag),
         }
     }
 
@@ -3682,8 +3585,7 @@ impl NodeLogic for PeerNode {
                             query: query.clone(),
                             scope: HierScope::Local,
                         };
-                        let bytes = msg.wire_size();
-                        ctx.send(node_of(sp), msg, bytes);
+                        send(ctx, sp, msg);
                     }
                 } else {
                     // A member or sibling head is down: its subtree's
@@ -3768,8 +3670,7 @@ impl PeerNode {
                 annotated,
                 missing,
             };
-            let bytes = msg.wire_size();
-            ctx.send(from, msg, bytes);
+            send(ctx, peer_of(from), msg);
             return;
         }
         let sp = next.expect("checked above");
@@ -3780,14 +3681,14 @@ impl PeerNode {
             backbone_ttl: backbone_ttl - 1,
             partial: Some(annotated),
         };
-        let bytes = msg.wire_size();
-        ctx.send(node_of(sp), msg, bytes);
+        send(ctx, sp, msg);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inject;
     use sqpeer_net::{NodeId, Simulator};
     use sqpeer_rdfs::{Range, Resource, Schema, SchemaBuilder, Triple};
     use sqpeer_rql::compile;
@@ -3850,8 +3751,7 @@ mod tests {
             qid: QueryId(1),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let p1 = sim.node(NodeId(1)).unwrap();
@@ -3890,8 +3790,7 @@ mod tests {
                 qid: QueryId(qid),
                 query: query.clone(),
             };
-            let bytes = msg.wire_size();
-            sim.inject(from, NodeId(1), msg, bytes);
+            inject(sim, peer_of(from), PeerId(1), msg);
             sim.run_to_quiescence();
             sim.metrics().total_messages() - before
         };
@@ -3943,8 +3842,7 @@ mod tests {
             qid: QueryId(1),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let p1 = sim.node(NodeId(1)).unwrap();
@@ -4007,8 +3905,7 @@ mod tests {
             qid: QueryId(1),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
         let p1 = sim.node(NodeId(1)).unwrap();
         let events = p1.trace_events_for(QueryId(1));
@@ -4036,8 +3933,7 @@ mod tests {
             qid: QueryId(1),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
         let p1 = sim.node(NodeId(1)).unwrap();
         assert!(p1.outcomes.contains_key(&QueryId(1)));
@@ -4074,8 +3970,7 @@ mod tests {
             qid: QueryId(7),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let outcome = sim
@@ -4131,8 +4026,7 @@ mod tests {
             qid: QueryId(5),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
         let outcome = sim
             .node(NodeId(1))
@@ -4175,8 +4069,7 @@ mod tests {
                 qid: QueryId(8),
                 query,
             };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            inject(&mut sim, PeerId(99), PeerId(1), msg);
             sim.run_to_quiescence();
             let rs = sim
                 .node(NodeId(1))
@@ -4264,8 +4157,7 @@ mod tests {
                 qid: QueryId(8),
                 query,
             };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            inject(&mut sim, PeerId(99), PeerId(1), msg);
             sim.run_to_quiescence();
             let link_ttfr = sim
                 .telemetry()
@@ -4339,8 +4231,7 @@ mod tests {
             qid: QueryId(3),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
         let root = sim.node(NodeId(1)).unwrap();
         assert_eq!(root.outcomes.get(&QueryId(3)).unwrap().result.len(), 25);
@@ -4386,8 +4277,7 @@ mod tests {
             qid: QueryId(3),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
         // After the answer streamed back, P1 holds fresh statistics.
         let p1 = sim.node(NodeId(1)).unwrap();
@@ -4434,8 +4324,7 @@ mod tests {
                     qid,
                     query: query.clone(),
                 };
-                let bytes = msg.wire_size();
-                sim.inject(NodeId(99), origin, msg, bytes);
+                inject(&mut sim, PeerId(99), peer_of(origin), msg);
             }
             sim.run_to_quiescence();
             // Latest completion across the two queries.
@@ -4507,8 +4396,7 @@ mod tests {
                 qid: QueryId(4),
                 query,
             };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            inject(&mut sim, PeerId(99), PeerId(1), msg);
             sim.run_to_quiescence();
             let o = sim
                 .node(NodeId(1))
@@ -4577,8 +4465,7 @@ mod tests {
                 qid: QueryId(4),
                 query,
             };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            inject(&mut sim, PeerId(99), PeerId(1), msg);
             sim.run_to_quiescence();
             let p1 = sim.node(NodeId(1)).unwrap();
             let o = p1.outcomes.get(&QueryId(4)).unwrap();
@@ -4644,8 +4531,7 @@ mod tests {
             qid: QueryId(1),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let root = sim.node(NodeId(1)).unwrap().trace_events_for(QueryId(1));
@@ -4708,8 +4594,7 @@ mod tests {
                 qid: QueryId(9),
                 query,
             };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            inject(&mut sim, PeerId(99), PeerId(1), msg);
             sim.run_to_quiescence();
             let rows = sim
                 .node(NodeId(1))
@@ -4753,8 +4638,7 @@ mod tests {
             qid: QueryId(2),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let outcome = sim
@@ -4800,8 +4684,7 @@ mod tests {
             qid: QueryId(1),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let outcome = sim
@@ -4845,8 +4728,7 @@ mod tests {
             qid: QueryId(3),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let outcome = sim
@@ -4897,8 +4779,7 @@ mod tests {
             qid: QueryId(9),
             query,
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(1), msg);
         sim.run_to_quiescence();
 
         let p1 = sim.node(NodeId(1)).unwrap();
@@ -5022,5 +4903,61 @@ mod tests {
             "post-restart grace must end at restart + lease, not a sweep later"
         );
         assert_eq!(holder.departed_peers(), vec![PeerId(2)]);
+    }
+
+    /// Every timer kind resolves to its conformance name while armed, and
+    /// to "unknown" once it fired or a restart wiped the table.
+    #[test]
+    fn timer_kind_names_every_armed_timer() {
+        let schema = fig1_schema();
+        let config = PeerConfig {
+            ad_lease_us: Some(1_000_000),
+            ..adhoc_config()
+        };
+        let base = base_with(&schema, &[("a", "prop1", "b")]);
+        let mut node = PeerNode::simple(PeerId(1), base, config);
+        let mut ctx: Ctx<Msg> = Ctx::detached(0, NodeId(1));
+        let deferred = Box::new((
+            Completion::Root { qid: QueryId(1) },
+            ResultSet::default(),
+            false,
+        ));
+        let timers = [
+            (Timer::Heartbeat, "heartbeat"),
+            (Timer::Sweep, "sweep"),
+            (Timer::Obs, "obs"),
+            (Timer::HierGather(QueryId(1)), "hier-gather"),
+            (Timer::Completion(deferred), "completion"),
+            (Timer::Production((PeerId(2), QueryId(1), 0)), "production"),
+            (Timer::Probe(0), "probe"),
+            (Timer::Timeout(0), "timeout"),
+        ];
+        let mut armed = Vec::new();
+        for (timer, kind) in timers {
+            let id = node.next_timer;
+            node.arm(&mut ctx, 10, timer);
+            assert_eq!(node.timer_kind(id), kind);
+            armed.push(id);
+        }
+        assert_eq!(node.timer_kind(node.next_timer), "unknown");
+
+        // A fired timeout (no subplan outstanding: a no-op) leaves the table.
+        let timeout = armed.pop().expect("eight timers armed");
+        node.on_timer(&mut ctx, timeout);
+        assert_eq!(node.timer_kind(timeout), "unknown");
+
+        // A restart forgets every pending timer and re-arms only the
+        // lease machinery, under fresh ids.
+        let first_fresh = node.next_timer;
+        node.on_restart(&mut ctx);
+        for id in armed {
+            assert_eq!(
+                node.timer_kind(id),
+                "unknown",
+                "timer {id} survived restart"
+            );
+        }
+        assert_eq!(node.timer_kind(first_fresh), "heartbeat");
+        assert_eq!(node.timer_kind(first_fresh + 1), "sweep");
     }
 }

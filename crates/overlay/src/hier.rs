@@ -21,7 +21,7 @@
 //! identical to flat-backbone routing.
 
 use crate::hybrid::HybridNetwork;
-use sqpeer_exec::{node_of, BaseKind, ClusterInfo, Msg, PeerConfig, PeerMode, PeerNode};
+use sqpeer_exec::{inject, node_of, BaseKind, ClusterInfo, Msg, PeerConfig, PeerMode, PeerNode};
 use sqpeer_net::{LinkSpec, Simulator};
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
@@ -199,9 +199,7 @@ impl HierBuilder {
                 .node(node_of(peer))
                 .and_then(PeerNode::own_advertisement)
                 .expect("simple peers have bases");
-            let msg = Msg::Advertise(ad);
-            let bytes = msg.wire_size();
-            sim.inject(node_of(peer), node_of(sp), msg, bytes);
+            inject(&mut sim, peer, sp, Msg::Advertise(ad));
         }
         let run_window_us = crate::hybrid::run_window(&config);
         let mut net =

@@ -6,8 +6,10 @@
 //! corresponding active-schema (push). All super-peers are aware of each
 //! other."
 
-use sqpeer_exec::{node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome};
-use sqpeer_net::{LinkSpec, NodeId, Simulator};
+use sqpeer_exec::{
+    inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome,
+};
+use sqpeer_net::{LinkSpec, Simulator};
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
 use sqpeer_rql::{compile, QueryPattern, RqlError};
@@ -123,9 +125,7 @@ impl HybridBuilder {
                 .node(node_of(peer))
                 .and_then(PeerNode::own_advertisement)
                 .expect("simple peers have bases");
-            let msg = Msg::Advertise(ad);
-            let bytes = msg.wire_size();
-            sim.inject(node_of(peer), node_of(sp), msg, bytes);
+            inject(&mut sim, peer, sp, Msg::Advertise(ad));
         }
         let run_window_us = run_window(&config);
         let mut net = HybridNetwork {
@@ -232,9 +232,7 @@ impl HybridNetwork {
         let qid = QueryId(self.next_qid);
         self.next_qid += 1;
         let msg = Msg::ClientQuery { qid, query };
-        let bytes = msg.wire_size();
-        self.sim
-            .inject(node_of(self.client), node_of(at), msg, bytes);
+        inject(&mut self.sim, self.client, at, msg);
         qid
     }
 
@@ -249,9 +247,7 @@ impl HybridNetwork {
         let qid = QueryId(self.next_qid);
         self.next_qid += 1;
         let msg = Msg::ExecutePlan { qid, query, plan };
-        let bytes = msg.wire_size();
-        self.sim
-            .inject(node_of(self.client), node_of(at), msg, bytes);
+        inject(&mut self.sim, self.client, at, msg);
         qid
     }
 
@@ -386,7 +382,7 @@ impl HybridNetwork {
     /// Takes a peer down at the current virtual time (crash churn).
     pub fn crash_peer(&mut self, peer: PeerId) {
         let now = self.sim.now_us();
-        self.sim.schedule_node_down(now, peer_node(peer));
+        self.sim.schedule_node_down(now, node_of(peer));
     }
 
     /// Ungraceful crash: the peer vanishes at the current virtual time
@@ -394,7 +390,7 @@ impl HybridNetwork {
     /// timeouts and lease expiry.
     pub fn crash_peer_silent(&mut self, peer: PeerId) {
         let now = self.sim.now_us();
-        self.sim.schedule_silent_crash(now, peer_node(peer));
+        self.sim.schedule_silent_crash(now, node_of(peer));
     }
 
     /// Restarts a silently-crashed peer at the current virtual time. The
@@ -402,14 +398,14 @@ impl HybridNetwork {
     /// active-schema (recovery protocol).
     pub fn restart_peer(&mut self, peer: PeerId) {
         let now = self.sim.now_us();
-        self.sim.schedule_silent_restart(now, peer_node(peer));
+        self.sim.schedule_silent_restart(now, node_of(peer));
     }
 
     /// Mutates a peer's materialized base in place and re-pushes its
     /// advertisement to its super-peer (the update protocol behind E9's
     /// churn accounting). No-op for virtual or absent bases.
     pub fn update_peer_base(&mut self, peer: PeerId, f: impl FnOnce(&mut DescriptionBase)) {
-        let Some(node) = self.sim.node_mut(peer_node(peer)) else {
+        let Some(node) = self.sim.node_mut(node_of(peer)) else {
             return;
         };
         if let sqpeer_exec::BaseKind::Materialized(db) = &mut node.base {
@@ -420,9 +416,7 @@ impl HybridNetwork {
         let sp = node.super_peers.first().copied();
         let ad = node.own_advertisement();
         if let (Some(sp), Some(ad)) = (sp, ad) {
-            let msg = Msg::Advertise(ad);
-            let bytes = msg.wire_size();
-            self.sim.inject(peer_node(peer), peer_node(sp), msg, bytes);
+            inject(&mut self.sim, peer, sp, Msg::Advertise(ad));
         }
     }
 
@@ -432,21 +426,15 @@ impl HybridNetwork {
     pub fn leave_peer(&mut self, peer: PeerId) {
         let sp = self
             .sim
-            .node(peer_node(peer))
+            .node(node_of(peer))
             .and_then(|n| n.super_peers.first().copied());
         if let Some(sp) = sp {
-            let msg = Msg::Withdraw;
-            let bytes = msg.wire_size();
-            self.sim.inject(peer_node(peer), peer_node(sp), msg, bytes);
+            inject(&mut self.sim, peer, sp, Msg::Withdraw);
         }
         // Down after the withdrawal is on the wire (generous margin).
         let at = self.sim.now_us() + 1_000_000;
-        self.sim.schedule_node_down(at, peer_node(peer));
+        self.sim.schedule_node_down(at, node_of(peer));
     }
-}
-
-fn peer_node(p: PeerId) -> NodeId {
-    node_of(p)
 }
 
 #[cfg(test)]

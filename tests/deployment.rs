@@ -260,6 +260,94 @@ fn host_retains_no_answers_after_replying() {
     handle.shutdown();
 }
 
+/// A query addressed to a peer outside the group is refused by closing
+/// the connection. A raw client reads EOF instead of waiting forever, a
+/// gateway tenant gets its "host closed" error with its admission charge
+/// released, and the host keeps nothing in flight.
+#[test]
+fn host_closes_connection_for_non_member_peer() {
+    let handle = spawn_host(HostConfig {
+        listen: "127.0.0.1:0".into(),
+        status: Some("127.0.0.1:0".into()),
+        spec: spec(),
+        telemetry_window_us: None,
+        settle_us: 200_000,
+        answer_batch_rows: None,
+    })
+    .expect("host starts");
+
+    let mut schemas = SchemaRegistry::new();
+    schemas.register(fig1_schema());
+    let query = sqpeer_rql::compile(fig1_query_text(), &fig1_schema()).expect("compiles");
+    let mut stream = TcpStream::connect(handle.addr).expect("host reachable");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("read timeout set");
+    write_frame(
+        &mut stream,
+        &Envelope {
+            from: PeerId(9_999),
+            to: PeerId(99),
+            sent_at_us: 0,
+            msg: Msg::ClientQuery {
+                qid: QueryId(7),
+                query,
+            },
+        },
+    )
+    .expect("query sent");
+    let reply = read_frame::<Envelope>(&mut stream, &schemas);
+    assert!(
+        matches!(reply, Ok(None)),
+        "expected EOF for a non-member peer, got {reply:?}"
+    );
+
+    // The same through a gateway tenant whose target peer is out of
+    // range, twice under a one-query quota: the second query is admitted
+    // only if the first released its charge.
+    let gateway = spawn_gateway(GatewayConfig {
+        listen: "127.0.0.1:0".into(),
+        tenants: vec![TenantConfig {
+            token: "misrouted-token".into(),
+            host: handle.addr.to_string(),
+            schema: fig1_schema(),
+            at: PeerId(99),
+            quotas: Quotas {
+                max_concurrent: 1,
+                ..Quotas::default()
+            },
+        }],
+    })
+    .expect("gateway starts");
+    for _ in 0..2 {
+        let mut gw = TcpStream::connect(gateway.addr).expect("gateway reachable");
+        gw.set_read_timeout(Some(Duration::from_secs(3)))
+            .expect("read timeout set");
+        write_frame(
+            &mut gw,
+            &GatewayRequest {
+                token: "misrouted-token".into(),
+                query: fig1_query_text().into(),
+            },
+        )
+        .expect("request sent");
+        let verdict = read_frame::<GatewayResponse>(&mut gw, &SchemaRegistry::new());
+        assert!(
+            matches!(&verdict, Ok(Some(GatewayResponse::Error(e))) if e == "host closed without answering"),
+            "got {verdict:?}"
+        );
+    }
+
+    let status = status_page(handle.status_addr.expect("status configured"));
+    assert!(
+        status.lines().any(|l| l == "retained_answers 0"),
+        "got: {status}"
+    );
+    assert!(status.lines().any(|l| l == "dropped 0"), "got: {status}");
+    gateway.shutdown();
+    handle.shutdown();
+}
+
 /// A group ships each answer once: a query posed at a member comes from
 /// the member itself, so on a one-member group it costs the transport
 /// exactly one delivered message, the `ClientQuery`, and no in-group

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqpeer::exec::{node_of, PeerConfig, PeerMode};
+use sqpeer::exec::{inject, node_of, PeerConfig, PeerMode};
 use sqpeer::overlay::{oracle_answer, oracle_base};
 use sqpeer::routing::RoutingPolicy;
 use sqpeer_testkit::{
@@ -275,8 +275,7 @@ fn duplex_window_one_streams_complete_without_deadlock() {
             qid: QueryId(u64::from(root)),
             query: query.clone(),
         };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(root), msg, bytes);
+        inject(&mut sim, PeerId(99), PeerId(root), msg);
     }
     sim.run_to_quiescence();
 
