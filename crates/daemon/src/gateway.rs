@@ -13,6 +13,11 @@
 //! the tenant's host is contacted and released when the answer (or
 //! failure) comes back, so an over-quota tenant consumes gateway-side
 //! arithmetic only.
+//!
+//! Connections to a tenant's host are pooled *inside that tenant*: a
+//! query borrows an idle stream (or connects), and the stream goes back
+//! only after a complete answer. Two tenants naming the same host address
+//! still never share a stream, so pooling leaves isolation structural.
 
 use crate::accept::{spawn_acceptor, wake};
 use sqpeer_rdfs::Schema;
@@ -27,7 +32,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-tenant admission limits.
 #[derive(Debug, Clone, Copy)]
@@ -127,6 +132,41 @@ struct Tenant {
     schemas: SchemaRegistry,
     at: PeerId,
     admission: Mutex<Admission>,
+    /// Idle streams to `host`, each one left after a complete answer.
+    idle: Mutex<Vec<TcpStream>>,
+    /// At most this many idle streams are kept: the concurrency quota,
+    /// which already bounds how many can be in use at once.
+    max_idle: usize,
+}
+
+impl Tenant {
+    /// The tenant `config` describes, with an empty pool.
+    fn new(config: TenantConfig) -> Self {
+        let mut schemas = SchemaRegistry::new();
+        schemas.register(Arc::clone(&config.schema));
+        Tenant {
+            host: config.host,
+            schema: config.schema,
+            schemas,
+            at: config.at,
+            admission: Mutex::new(Admission::new(config.quotas)),
+            idle: Mutex::new(Vec::new()),
+            max_idle: config.quotas.max_concurrent as usize,
+        }
+    }
+
+    /// An idle pooled stream to the host, if any.
+    fn checkout(&self) -> Option<TcpStream> {
+        self.idle.lock().expect("pool lock poisoned").pop()
+    }
+
+    /// Returns a stream that just delivered a complete answer.
+    fn checkin(&self, stream: TcpStream) {
+        let mut idle = self.idle.lock().expect("pool lock poisoned");
+        if idle.len() < self.max_idle {
+            idle.push(stream);
+        }
+    }
 }
 
 /// Gateway setup: where to listen and who the tenants are.
@@ -169,20 +209,7 @@ pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
         config
             .tenants
             .into_iter()
-            .map(|t| {
-                let mut schemas = SchemaRegistry::new();
-                schemas.register(Arc::clone(&t.schema));
-                (
-                    t.token,
-                    Tenant {
-                        host: t.host,
-                        schema: t.schema,
-                        schemas,
-                        at: t.at,
-                        admission: Mutex::new(Admission::new(t.quotas)),
-                    },
-                )
-            })
+            .map(|t| (t.token.clone(), Tenant::new(t)))
             .collect(),
     );
 
@@ -283,24 +310,80 @@ fn answer(
 /// sequence of packets ending in one flagged `last`. The gateway
 /// wall-clocks the stream: `ttfr_us` is when the first answer rows
 /// arrived, `latency_us` when the final packet did.
+///
+/// The frame goes over a pooled stream when one is idle. A pooled stream
+/// can have gone stale (the host restarted since it was pooled); if it
+/// fails before the first reply byte, the query is sent once more on a
+/// fresh connection — safe, because a `ClientQuery` is read-only.
 fn forward(tenant: &Tenant, frame: &[u8]) -> GatewayResponse {
-    let started = std::time::Instant::now();
-    let mut host = match TcpStream::connect(&tenant.host) {
-        Ok(s) => s,
-        Err(e) => return GatewayResponse::Error(format!("host unreachable: {e}")),
+    let started = Instant::now();
+    let outcome = match tenant.checkout() {
+        Some(pooled) => match exchange(pooled, frame, &tenant.schemas, started) {
+            Exchange::Stale(_) => exchange_fresh(tenant, frame, started),
+            done => done,
+        },
+        None => exchange_fresh(tenant, frame, started),
     };
+    match outcome {
+        Exchange::Answer(answer, stream) => {
+            tenant.checkin(stream);
+            answer
+        }
+        Exchange::Stale(verdict) | Exchange::Failed(verdict) => verdict,
+    }
+}
+
+/// How one request/response exchange with a host ended.
+enum Exchange {
+    /// A complete answer; the stream is clean and can be pooled.
+    Answer(GatewayResponse, TcpStream),
+    /// The stream failed before any reply byte arrived.
+    Stale(GatewayResponse),
+    /// Any later failure; the stream is dropped.
+    Failed(GatewayResponse),
+}
+
+/// [`exchange`] over a new connection to the tenant's host.
+fn exchange_fresh(tenant: &Tenant, frame: &[u8], started: Instant) -> Exchange {
+    match TcpStream::connect(&tenant.host) {
+        Ok(stream) => {
+            // The stream carries many small request/response pairs.
+            let _ = stream.set_nodelay(true);
+            exchange(stream, frame, &tenant.schemas, started)
+        }
+        Err(e) => Exchange::Failed(GatewayResponse::Error(format!("host unreachable: {e}"))),
+    }
+}
+
+/// Writes one query frame and reads `Data` frames until the one flagged
+/// `last`.
+fn exchange(
+    mut host: TcpStream,
+    frame: &[u8],
+    schemas: &SchemaRegistry,
+    started: Instant,
+) -> Exchange {
+    let closed = || GatewayResponse::Error("host closed without answering".into());
+    let unreadable = |e: io::Error| GatewayResponse::Error(format!("host reply unreadable: {e}"));
     if let Err(e) = io::Write::write_all(&mut host, frame) {
-        return GatewayResponse::Error(format!("host write failed: {e}"));
+        return Exchange::Stale(GatewayResponse::Error(format!("host write failed: {e}")));
+    }
+    // Wait for the first reply byte without consuming it: a stream the
+    // host dropped while it sat in the pool fails here, before any reply.
+    match host.peek(&mut [0u8]) {
+        Ok(0) => return Exchange::Stale(closed()),
+        Err(e) => return Exchange::Stale(unreadable(e)),
+        Ok(_) => {}
     }
     let mut columns: Vec<String> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut partial = false;
     let mut ttfr_us = 0u64;
     loop {
-        let reply: Envelope = match read_frame(&mut host, &tenant.schemas) {
+        let reply: Envelope = match read_frame(&mut host, schemas) {
             Ok(Some(e)) => e,
-            Ok(None) => return GatewayResponse::Error("host closed without answering".into()),
-            Err(e) => return GatewayResponse::Error(format!("host reply unreadable: {e}")),
+            Ok(None) => return Exchange::Failed(closed()),
+            Err(e) => return Exchange::Failed(unreadable(e)),
         };
         match reply.msg {
             sqpeer_exec::Msg::Data {
@@ -323,19 +406,20 @@ fn forward(tenant: &Tenant, frame: &[u8]) -> GatewayResponse {
                         .map(|row| row.iter().map(|node| node.to_string()).collect::<Vec<_>>()),
                 );
                 if last {
-                    return GatewayResponse::Answer {
+                    let answer = GatewayResponse::Answer {
                         columns,
                         rows,
                         partial,
                         ttfr_us,
                         latency_us: started.elapsed().as_micros() as u64,
                     };
+                    return Exchange::Answer(answer, host);
                 }
             }
             other => {
-                return GatewayResponse::Error(format!(
+                return Exchange::Failed(GatewayResponse::Error(format!(
                     "host sent an unexpected message: {other:?}"
-                ))
+                )))
             }
         }
     }
@@ -377,6 +461,28 @@ mod tests {
         a.release(40);
         assert_eq!(a.bytes_in_flight(), 0);
         assert_eq!(a.in_flight(), 0);
+    }
+
+    #[test]
+    fn pool_keeps_at_most_max_concurrent_idle_streams() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound");
+        let tenant = Tenant::new(TenantConfig {
+            token: "t".into(),
+            host: addr.to_string(),
+            schema: sqpeer_testkit::fixtures::fig1_schema(),
+            at: PeerId(0),
+            quotas: Quotas {
+                max_concurrent: 2,
+                ..Quotas::default()
+            },
+        });
+        for _ in 0..3 {
+            tenant.checkin(TcpStream::connect(addr).expect("connects"));
+        }
+        assert!(tenant.checkout().is_some());
+        assert!(tenant.checkout().is_some());
+        assert!(tenant.checkout().is_none(), "a third idle stream was kept");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use sqpeer_wire::{read_frame, write_frame, Envelope, SchemaRegistry};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -145,15 +145,22 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let (commands, command_rx) = channel::<Command>();
     let mut threads = Vec::new();
+    // Peer-port connections accepted since boot: counted by the acceptor,
+    // reported by the pump's status page.
+    let peer_connections = Arc::new(AtomicU64::new(0));
 
     // Pump thread: owns the transport, poses queries, hands off answers,
     // renders the status page on request.
-    threads.push(std::thread::spawn(move || pump(net, group, command_rx)));
+    let connections = Arc::clone(&peer_connections);
+    threads.push(std::thread::spawn(move || {
+        pump(net, group, command_rx, connections)
+    }));
 
     // Peer-port accept thread: one reader thread per connection.
     let serve = {
         let (commands, shutdown) = (commands.clone(), Arc::clone(&shutdown));
         move |stream| {
+            peer_connections.fetch_add(1, Ordering::Relaxed);
             let (commands, schemas) = (commands.clone(), schemas.clone());
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
@@ -189,7 +196,12 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
 /// The transport-owning loop: run what is due, hand off finished
 /// queries, then sleep until a command arrives or the next frame or
 /// timer falls due.
-fn pump(mut net: LoopbackNet<PeerNode>, mut group: Group, commands: Receiver<Command>) {
+fn pump(
+    mut net: LoopbackNet<PeerNode>,
+    mut group: Group,
+    commands: Receiver<Command>,
+    peer_connections: Arc<AtomicU64>,
+) {
     let mut in_flight: HashMap<QueryId, InFlight> = HashMap::new();
     let mut ttfr = QueryTtfr::default();
     loop {
@@ -223,7 +235,8 @@ fn pump(mut net: LoopbackNet<PeerNode>, mut group: Group, commands: Receiver<Com
                 in_flight.insert(qid, InFlight { at, reply });
             }
             Ok(Command::Status(reply)) => {
-                let _ = reply.send(render_status(&net, &group, &ttfr));
+                let connections = peer_connections.load(Ordering::Relaxed);
+                let _ = reply.send(render_status(&net, &group, &ttfr, connections));
             }
             Err(RecvTimeoutError::Timeout) => {}
             Ok(Command::Stop) | Err(RecvTimeoutError::Disconnected) => return,
@@ -241,7 +254,12 @@ struct QueryTtfr {
 
 /// Renders the plain-text status page: counters plus the telemetry
 /// snapshot's own rendering.
-fn render_status(net: &LoopbackNet<PeerNode>, group: &Group, ttfr: &QueryTtfr) -> String {
+fn render_status(
+    net: &LoopbackNet<PeerNode>,
+    group: &Group,
+    ttfr: &QueryTtfr,
+    peer_connections: u64,
+) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let m = net.metrics();
@@ -286,6 +304,18 @@ fn render_status(net: &LoopbackNet<PeerNode>, group: &Group, ttfr: &QueryTtfr) -
             let _ = writeln!(out, "telemetry off");
         }
     }
+    // Steady-state costs: connections a pooling client keeps reusing,
+    // and the roots' plan cache, summed over the members.
+    let _ = writeln!(out, "peer_connections {peer_connections}");
+    let (mut plan_hits, mut plan_misses) = (0u64, 0u64);
+    for id in net.node_ids() {
+        if let Some(stats) = net.node(id).and_then(PeerNode::cache_stats) {
+            plan_hits += stats.plan_hits;
+            plan_misses += stats.plan_misses;
+        }
+    }
+    let _ = writeln!(out, "plan_cache_hits {plan_hits}");
+    let _ = writeln!(out, "plan_cache_misses {plan_misses}");
     // Observability-plane section (`sqpeerd obs` prints from this marker
     // on): merged pattern statistics, slow-query log entries and the
     // per-node flight recorders.
@@ -338,6 +368,9 @@ fn serve_connection(
     answer_batch_rows: Option<usize>,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    // A pooling client sends many request/response pairs over this one
+    // socket; Nagle would hold each small reply back.
+    let _ = stream.set_nodelay(true);
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return;

@@ -23,15 +23,25 @@ use sqpeer_routing::PeerId;
 use sqpeer_rql::{evaluate, ResultSet};
 use sqpeer_store::BaseStatistics;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// The host's core count, read once per process: the standard library
+/// re-reads cgroup files on every call, which a per-subplan lookup would
+/// pay on every evaluation.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// Worker threads used by [`eval_local`]: the machine's parallelism,
 /// capped low — plan trees rarely have more than a handful of independent
 /// branches and the simulator runs many peers on one host.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
+    host_cores().min(4)
 }
 
 /// Evaluates a plan subtree entirely at `me`, assuming every fetch site is
@@ -111,12 +121,9 @@ fn eval_branches(
     base: &BaseKind,
     workers: usize,
 ) -> Vec<ResultSet> {
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     // Never spawn more workers than the host can actually run: extra
     // threads only add scheduling churn (the E16 1-core regression).
-    let workers = workers.min(host_cores).min(inputs.len());
+    let workers = workers.min(host_cores()).min(inputs.len());
     let inline = || {
         inputs
             .iter()

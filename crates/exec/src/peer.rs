@@ -559,8 +559,6 @@ struct PendingRemote {
     /// The shipped subtree's output columns, so a failed slot can be
     /// filled with a *well-formed* empty table.
     columns: Vec<String>,
-    /// Rendered subplan, keying the phased-execution result cache.
-    plan_key: String,
     /// The shipped plan itself (needed to repair around a slow or failed
     /// destination).
     plan: PlanNode,
@@ -1855,10 +1853,9 @@ impl PeerNode {
             Some(ch) => ch,
             None => self.channels.open(self.id, dest),
         };
-        let plan_key = plan.to_string();
         if self.config.phased {
             if let Some(root) = self.rooted.get(&qid) {
-                if let Some(cached) = root.phase_cache.get(&(dest, plan_key.clone())) {
+                if let Some(cached) = root.phase_cache.get(&(dest, plan.to_string())) {
                     // A previous phase already fetched this subplan from
                     // this peer: reuse the result, ship nothing (§2.5's
                     // phased alternative to discarding).
@@ -1879,7 +1876,6 @@ impl PeerNode {
                 slot,
                 dest,
                 columns,
-                plan_key,
                 plan: plan.clone(),
                 visited: visited.clone(),
                 attempt: 0,
@@ -2706,7 +2702,7 @@ impl PeerNode {
         self.tracer
             .get_mut()
             .event_with(ctx.now_us(), qid.0, "exec:failed", || {
-                format!("subplan {} lost at {failed_peer}", pending.plan_key)
+                format!("subplan {} lost at {failed_peer}", pending.plan)
             });
         self.flight(ctx.now_us(), "replan", || {
             format!("{qid} subplan lost at {failed_peer}")
@@ -3140,7 +3136,15 @@ impl NodeLogic for PeerNode {
                 if let Some(fresh) = stats {
                     // Refresh the sender's advertised statistics — channel
                     // packets keep the optimiser's estimates current (§2.4).
-                    if let Some(ad) = self.registry.get(peer_of(from)).cloned() {
+                    // Unchanged statistics are not re-registered: that
+                    // would bump the registry's stats epoch and so
+                    // invalidate every cached plan for nothing.
+                    if let Some(ad) = self
+                        .registry
+                        .get(peer_of(from))
+                        .filter(|ad| ad.stats.as_ref() != Some(&fresh))
+                        .cloned()
+                    {
                         self.registry.register(ad.with_stats(fresh));
                     }
                 }
@@ -3257,7 +3261,7 @@ impl NodeLogic for PeerNode {
                     if self.config.phased && !partial {
                         if let Some(root) = self.rooted.get_mut(&qid) {
                             root.phase_cache
-                                .insert((pending.dest, pending.plan_key.clone()), result.clone());
+                                .insert((pending.dest, pending.plan.to_string()), result.clone());
                         }
                     }
                     // A probe that covered the whole stream has already
@@ -3689,9 +3693,10 @@ impl PeerNode {
 mod tests {
     use super::*;
     use crate::inject;
-    use sqpeer_net::{NodeId, Simulator};
+    use sqpeer_net::{ChannelId, ChannelState, NodeId, Simulator};
     use sqpeer_rdfs::{Range, Resource, Schema, SchemaBuilder, Triple};
     use sqpeer_rql::compile;
+    use sqpeer_store::BaseStatistics;
     use std::sync::Arc;
 
     pub(crate) fn fig1_schema() -> Arc<Schema> {
@@ -4290,6 +4295,57 @@ mod tests {
             .expect("refreshed");
         let prop1 = schema.property_by_name("prop1").unwrap();
         assert_eq!(stats.property(prop1).triples, 1);
+    }
+
+    /// A `Data` packet piggybacking the statistics the root already holds
+    /// leaves the registry epochs — and so the plan cache — untouched;
+    /// different statistics still bump the stats epoch.
+    #[test]
+    fn identical_piggybacked_stats_keep_registry_epochs() {
+        let schema = fig1_schema();
+        let mut sim: Simulator<PeerNode> = Simulator::default();
+        let mut p1 = PeerNode::simple(PeerId(1), base_with(&schema, &[]), adhoc_config());
+        let holder = PeerNode::simple(
+            PeerId(2),
+            base_with(&schema, &[("http://a", "prop1", "http://b")]),
+            adhoc_config(),
+        );
+        let ad = holder.own_advertisement().unwrap();
+        let same = ad.stats.clone().expect("materialised base has stats");
+        p1.registry.register(ad);
+        let before = p1.registry.epochs();
+        sim.add_node(NodeId(1), p1);
+        sim.add_node(NodeId(2), holder);
+        let data = |stats| Msg::Data {
+            channel: Channel {
+                id: ChannelId(7),
+                root: PeerId(1),
+                dest: PeerId(2),
+                state: ChannelState::Open,
+            },
+            qid: QueryId(1),
+            tag: 99,
+            result: ResultSet::empty(vec!["X".into()]),
+            partial: false,
+            stats: Some(stats),
+            seq: 0,
+            last: true,
+        };
+
+        inject(&mut sim, PeerId(2), PeerId(1), data(same));
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(NodeId(1)).unwrap().registry.epochs(), before);
+
+        inject(
+            &mut sim,
+            PeerId(2),
+            PeerId(1),
+            data(BaseStatistics::default()),
+        );
+        sim.run_to_quiescence();
+        let after = sim.node(NodeId(1)).unwrap().registry.epochs();
+        assert_eq!(after.schema, before.schema);
+        assert_eq!(after.stats, before.stats + 1);
     }
 
     /// §2.5 slots: a single-slot peer serialises concurrent subplans;

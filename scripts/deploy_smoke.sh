@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Deployment smoke test: boots two sqpeerd tenant hosts and the
 # multi-tenant gateway on loopback TCP, poses one query per tenant,
-# asserts hard cross-tenant isolation and the admission quota, and
-# captures the telemetry status page (which must show no retained
-# answers).
+# asserts hard cross-tenant isolation and the admission quota, repeats
+# tenant A's query twice more, and captures the telemetry status page
+# (which must show no retained answers, one pooled gateway connection
+# for all three acme queries, and root plan-cache hits on the repeats).
 #
 # Usage: scripts/deploy_smoke.sh [outdir]   (default: deploy-smoke/)
 # Requires: target/release/sqpeerd (cargo build --release -p sqpeer-daemon)
@@ -103,12 +104,24 @@ rc=0; "$BIN" query 127.0.0.1:7431 starved-token "$QUERY" 2> "$OUT/starved.txt" |
 [ "$rc" -eq 3 ] || { echo "FAIL: expected exit 3 (over quota), got $rc"; exit 1; }
 grep -q "bytes" "$OUT/starved.txt" || { echo "FAIL: quota message missing"; exit 1; }
 
+echo "== tenant A again: the steady-state host leg =="
+# Two more acme queries through the gateway, each from a fresh client
+# process; the gateway's pooled connection to the acme host carries all
+# three, and the root's plan cache serves the repeats.
+for i in 2 3; do
+  "$BIN" query 127.0.0.1:7431 acme-token "$QUERY" > "$OUT/acme_answer_$i.txt"
+  grep -q "complete" "$OUT/acme_answer_$i.txt" || { echo "FAIL: repeated tenant A query $i not complete"; exit 1; }
+done
+
 echo "== telemetry status page =="
 # The host renders the page on request, so it already reflects the
-# answered query.
+# answered queries.
 "$BIN" status 127.0.0.1:7412 | tee "$OUT/status.txt"
 grep -q "sqpeerd status"    "$OUT/status.txt" || { echo "FAIL: no status page"; exit 1; }
 grep -q "decode_failures 0" "$OUT/status.txt" || { echo "FAIL: wire decode failures on the host"; exit 1; }
 grep -qx "retained_answers 0" "$OUT/status.txt" || { echo "FAIL: host retained answers after replying"; exit 1; }
+grep -qx "peer_connections 1" "$OUT/status.txt" || { echo "FAIL: gateway did not reuse its pooled host connection"; exit 1; }
+hits=$(sed -n 's/^plan_cache_hits \([0-9]*\)$/\1/p' "$OUT/status.txt")
+[ -n "$hits" ] && [ "$hits" -ge 2 ] || { echo "FAIL: expected >= 2 root plan-cache hits, got '${hits}'"; exit 1; }
 
 echo "deploy smoke: OK"

@@ -853,3 +853,123 @@ fn gateway_isolates_tenants_and_enforces_quotas() {
     acme_host.shutdown();
     globex_host.shutdown();
 }
+
+/// Boots a host serving [`spec`] with a status port, listening on
+/// `listen`.
+fn spawn_status_host(listen: &str) -> sqpeer_daemon::HostHandle {
+    spawn_host(HostConfig {
+        listen: listen.into(),
+        status: Some("127.0.0.1:0".into()),
+        spec: spec(),
+        telemetry_window_us: None,
+        settle_us: 150_000,
+        answer_batch_rows: None,
+    })
+    .expect("host starts")
+}
+
+/// A gateway in front of `host` with one tenant, `acme-token`, posing at
+/// member 0.
+fn spawn_acme_gateway(host: SocketAddr) -> sqpeer_daemon::GatewayHandle {
+    spawn_gateway(GatewayConfig {
+        listen: "127.0.0.1:0".into(),
+        tenants: vec![TenantConfig {
+            token: "acme-token".into(),
+            host: host.to_string(),
+            schema: fig1_schema(),
+            at: PeerId(0),
+            quotas: Quotas::default(),
+        }],
+    })
+    .expect("gateway starts")
+}
+
+/// Sends the figure-1 query as `acme-token` over `gw` and returns the
+/// verdict.
+fn ask_acme(gw: &mut TcpStream) -> GatewayResponse {
+    write_frame(
+        gw,
+        &GatewayRequest {
+            token: "acme-token".into(),
+            query: fig1_query_text().into(),
+        },
+    )
+    .expect("request sent");
+    read_frame(gw, &SchemaRegistry::new())
+        .expect("verdict readable")
+        .expect("gateway answered")
+}
+
+/// The gateway pools its connections to a tenant's host: sequential
+/// queries reuse one peer-port connection instead of opening one each.
+#[test]
+fn gateway_reuses_host_connections() {
+    let host = spawn_status_host("127.0.0.1:0");
+    let gateway = spawn_acme_gateway(host.addr);
+    let mut gw = TcpStream::connect(gateway.addr).expect("gateway reachable");
+    for _ in 0..5 {
+        let verdict = ask_acme(&mut gw);
+        assert!(
+            matches!(&verdict, GatewayResponse::Answer { rows, .. } if !rows.is_empty()),
+            "{verdict:?}"
+        );
+    }
+    let status = status_page(host.status_addr.expect("status configured"));
+    assert!(
+        status.lines().any(|l| l == "peer_connections 1"),
+        "5 queries should share one host connection: {status}"
+    );
+    gateway.shutdown();
+    host.shutdown();
+}
+
+/// A pooled connection whose host restarted is stale: the gateway must
+/// notice before the first reply byte and resend once on a fresh
+/// connection, so the client still gets its answer.
+#[test]
+fn gateway_retries_a_stale_pooled_connection() {
+    let host = spawn_status_host("127.0.0.1:0");
+    let addr = host.addr;
+    let gateway = spawn_acme_gateway(addr);
+    let mut gw = TcpStream::connect(gateway.addr).expect("gateway reachable");
+    let first = ask_acme(&mut gw);
+    assert!(matches!(first, GatewayResponse::Answer { .. }), "{first:?}");
+
+    host.shutdown();
+    let host = spawn_status_host(&addr.to_string());
+    let second = ask_acme(&mut gw);
+    let GatewayResponse::Answer { rows, partial, .. } = second else {
+        panic!("the restarted host should answer, got {second:?}");
+    };
+    assert!(!rows.is_empty() && !partial);
+    gateway.shutdown();
+    host.shutdown();
+}
+
+/// Repeating a query at one member hits the root's plan cache: the
+/// statistics piggybacked on every `Data` packet are unchanged, so they
+/// must not invalidate the cached plan.
+#[test]
+fn repeated_query_hits_root_plan_cache() {
+    let mut schemas = SchemaRegistry::new();
+    schemas.register(fig1_schema());
+    let mut net: LoopbackNet<PeerNode> = LoopbackNet::new(schemas);
+    let mut group = assemble(&mut net, spec(), 200_000);
+    let query = group
+        .compile(fig1_query_text())
+        .expect("fixture query compiles");
+    let at = group.peers[0];
+    for _ in 0..3 {
+        let qid = pose(&mut net, &mut group, at, query.clone());
+        assert!(await_outcome(&mut net, at, qid, 5_000, 5_000_000));
+        assert!(!outcome(&net, at, qid).expect("awaited").result.is_empty());
+    }
+    let stats = net
+        .node(node_of(at))
+        .and_then(PeerNode::cache_stats)
+        .expect("caching is on by default");
+    assert!(
+        stats.plan_hits >= 2,
+        "repeats should reuse the root's plan: {stats:?}"
+    );
+}
