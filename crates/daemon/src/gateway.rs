@@ -24,7 +24,8 @@ use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
 use sqpeer_rql::compile;
 use sqpeer_wire::{
-    read_frame, write_frame, Envelope, GatewayRequest, GatewayResponse, SchemaRegistry,
+    encode_frame, read_frame, read_payload, AnswerRelay, Envelope, GatewayRequest, GatewayResponse,
+    RelayError, SchemaRegistry,
 };
 use std::collections::HashMap;
 use std::io;
@@ -230,6 +231,14 @@ pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
     })
 }
 
+/// Readies an accepted client connection: a read timeout so the serving
+/// thread notices shutdown, and `TCP_NODELAY` so the tail of an answer
+/// larger than one segment is not held back by Nagle.
+fn configure_client(stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    stream.set_nodelay(true)
+}
+
 /// One client connection: framed requests in, framed verdicts out.
 fn serve_client(
     mut stream: TcpStream,
@@ -237,7 +246,9 @@ fn serve_client(
     next_qid: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    if configure_client(&stream).is_err() {
+        return;
+    }
     // Requests carry no schema-bound types, so an empty registry decodes
     // them.
     let no_schemas = SchemaRegistry::new();
@@ -248,6 +259,7 @@ fn serve_client(
         let request: GatewayRequest = match read_frame(&mut stream, &no_schemas) {
             Ok(Some(r)) => r,
             Ok(None) => return,
+            // Idle: no byte of a next request has arrived yet.
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -256,27 +268,27 @@ fn serve_client(
             Err(_) => return,
         };
         let response = answer(&request, &tenants, &next_qid);
-        if write_frame(&mut stream, &response).is_err() {
+        if io::Write::write_all(&mut stream, &response).is_err() {
             return;
         }
     }
 }
 
-/// Resolves one request to a verdict. The token lookup is the *only*
-/// place a host address enters the picture — an unknown token returns
-/// before any connection exists, and a known one can only ever reach its
-/// own tenant's host.
+/// Resolves one request to the frame of its verdict. The token lookup is
+/// the *only* place a host address enters the picture — an unknown token
+/// returns before any connection exists, and a known one can only ever
+/// reach its own tenant's host.
 fn answer(
     request: &GatewayRequest,
     tenants: &HashMap<String, Tenant>,
     next_qid: &AtomicU64,
-) -> GatewayResponse {
+) -> Vec<u8> {
     let Some(tenant) = tenants.get(&request.token) else {
-        return GatewayResponse::Unauthorized;
+        return encode_frame(&GatewayResponse::Unauthorized);
     };
     let query = match compile(&request.query, &tenant.schema) {
         Ok(q) => q,
-        Err(e) => return GatewayResponse::Error(e.to_string()),
+        Err(e) => return encode_frame(&GatewayResponse::Error(e.to_string())),
     };
     let qid = sqpeer_exec::QueryId(next_qid.fetch_add(1, Ordering::SeqCst));
     let envelope = Envelope {
@@ -285,7 +297,7 @@ fn answer(
         sent_at_us: 0,
         msg: sqpeer_exec::Msg::ClientQuery { qid, query },
     };
-    let frame = sqpeer_wire::encode_frame(&envelope);
+    let frame = encode_frame(&envelope);
     let charge = frame.len() as u64;
 
     if let Err(quota) = tenant
@@ -294,7 +306,7 @@ fn answer(
         .expect("admission lock poisoned")
         .try_admit(charge)
     {
-        return GatewayResponse::OverQuota { quota };
+        return encode_frame(&GatewayResponse::OverQuota { quota });
     }
     let verdict = forward(tenant, &frame);
     tenant
@@ -302,20 +314,20 @@ fn answer(
         .lock()
         .expect("admission lock poisoned")
         .release(charge);
-    verdict
+    verdict.unwrap_or_else(|failure| encode_frame(&failure))
 }
 
 /// Ships an admitted, already-encoded query frame to the tenant's host
-/// and renders the `Data` reply — a single packet, or a streamed
-/// sequence of packets ending in one flagged `last`. The gateway
-/// wall-clocks the stream: `ttfr_us` is when the first answer rows
-/// arrived, `latency_us` when the final packet did.
+/// and relays the `Data` reply — a single packet, or a streamed
+/// sequence of packets ending in one flagged `last` — into the client's
+/// answer frame. The gateway wall-clocks the stream: `ttfr_us` is when
+/// the first answer rows arrived, `latency_us` when the final packet did.
 ///
 /// The frame goes over a pooled stream when one is idle. A pooled stream
 /// can have gone stale (the host restarted since it was pooled); if it
 /// fails before the first reply byte, the query is sent once more on a
 /// fresh connection — safe, because a `ClientQuery` is read-only.
-fn forward(tenant: &Tenant, frame: &[u8]) -> GatewayResponse {
+fn forward(tenant: &Tenant, frame: &[u8]) -> Result<Vec<u8>, GatewayResponse> {
     let started = Instant::now();
     let outcome = match tenant.checkout() {
         Some(pooled) => match exchange(pooled, frame, &tenant.schemas, started) {
@@ -327,16 +339,16 @@ fn forward(tenant: &Tenant, frame: &[u8]) -> GatewayResponse {
     match outcome {
         Exchange::Answer(answer, stream) => {
             tenant.checkin(stream);
-            answer
+            Ok(answer)
         }
-        Exchange::Stale(verdict) | Exchange::Failed(verdict) => verdict,
+        Exchange::Stale(verdict) | Exchange::Failed(verdict) => Err(verdict),
     }
 }
 
 /// How one request/response exchange with a host ended.
 enum Exchange {
-    /// A complete answer; the stream is clean and can be pooled.
-    Answer(GatewayResponse, TcpStream),
+    /// A complete answer frame; the stream is clean and can be pooled.
+    Answer(Vec<u8>, TcpStream),
     /// The stream failed before any reply byte arrived.
     Stale(GatewayResponse),
     /// Any later failure; the stream is dropped.
@@ -355,7 +367,7 @@ fn exchange_fresh(tenant: &Tenant, frame: &[u8], started: Instant) -> Exchange {
     }
 }
 
-/// Writes one query frame and reads `Data` frames until the one flagged
+/// Writes one query frame and relays `Data` frames until the one flagged
 /// `last`.
 fn exchange(
     mut host: TcpStream,
@@ -364,7 +376,8 @@ fn exchange(
     started: Instant,
 ) -> Exchange {
     let closed = || GatewayResponse::Error("host closed without answering".into());
-    let unreadable = |e: io::Error| GatewayResponse::Error(format!("host reply unreadable: {e}"));
+    let unreadable =
+        |e: &dyn std::fmt::Display| GatewayResponse::Error(format!("host reply unreadable: {e}"));
     if let Err(e) = io::Write::write_all(&mut host, frame) {
         return Exchange::Stale(GatewayResponse::Error(format!("host write failed: {e}")));
     }
@@ -372,51 +385,29 @@ fn exchange(
     // host dropped while it sat in the pool fails here, before any reply.
     match host.peek(&mut [0u8]) {
         Ok(0) => return Exchange::Stale(closed()),
-        Err(e) => return Exchange::Stale(unreadable(e)),
+        Err(e) => return Exchange::Stale(unreadable(&e)),
         Ok(_) => {}
     }
-    let mut columns: Vec<String> = Vec::new();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut partial = false;
+    let mut relay = AnswerRelay::new();
     let mut ttfr_us = 0u64;
     loop {
-        let reply: Envelope = match read_frame(&mut host, schemas) {
-            Ok(Some(e)) => e,
+        let payload = match read_payload(&mut host) {
+            Ok(Some(p)) => p,
             Ok(None) => return Exchange::Failed(closed()),
-            Err(e) => return Exchange::Failed(unreadable(e)),
+            Err(e) => return Exchange::Failed(unreadable(&e)),
         };
-        match reply.msg {
-            sqpeer_exec::Msg::Data {
-                result,
-                partial: batch_partial,
-                last,
-                ..
-            } => {
-                if columns.is_empty() {
-                    columns = result.columns.clone();
-                }
-                if ttfr_us == 0 && !result.rows.is_empty() {
+        match relay.push(&payload, schemas) {
+            Ok(batch) => {
+                if ttfr_us == 0 && batch.rows > 0 {
                     ttfr_us = started.elapsed().as_micros() as u64;
                 }
-                partial |= batch_partial;
-                rows.extend(
-                    result
-                        .rows
-                        .iter()
-                        .map(|row| row.iter().map(|node| node.to_string()).collect::<Vec<_>>()),
-                );
-                if last {
-                    let answer = GatewayResponse::Answer {
-                        columns,
-                        rows,
-                        partial,
-                        ttfr_us,
-                        latency_us: started.elapsed().as_micros() as u64,
-                    };
-                    return Exchange::Answer(answer, host);
+                if batch.last {
+                    let latency_us = started.elapsed().as_micros() as u64;
+                    return Exchange::Answer(relay.finish(ttfr_us, latency_us), host);
                 }
             }
-            other => {
+            Err(RelayError::Wire(e)) => return Exchange::Failed(unreadable(&e)),
+            Err(RelayError::Unexpected(other)) => {
                 return Exchange::Failed(GatewayResponse::Error(format!(
                     "host sent an unexpected message: {other:?}"
                 )))
@@ -486,6 +477,20 @@ mod tests {
     }
 
     #[test]
+    fn accepted_client_streams_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+        let (accepted, _) = listener.accept().expect("accepts");
+        assert!(!accepted.nodelay().expect("readable option"));
+        configure_client(&accepted).expect("configures");
+        assert!(accepted.nodelay().expect("readable option"));
+        assert_eq!(
+            accepted.read_timeout().expect("readable option"),
+            Some(Duration::from_millis(500))
+        );
+    }
+
+    #[test]
     fn unknown_tokens_never_reach_a_host() {
         // `answer` with an empty tenant table must refuse without any
         // connection attempt — there is no address to connect to.
@@ -498,6 +503,6 @@ mod tests {
             &tenants,
             &AtomicU64::new(0),
         );
-        assert_eq!(verdict, GatewayResponse::Unauthorized);
+        assert_eq!(verdict, encode_frame(&GatewayResponse::Unauthorized));
     }
 }

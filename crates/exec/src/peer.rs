@@ -377,6 +377,15 @@ impl RootQuery {
         }
     }
 
+    /// The query's projected column names, in answer order.
+    fn projection(&self) -> Vec<String> {
+        self.query
+            .projection()
+            .iter()
+            .map(|&v| self.query.var_name(v).to_string())
+            .collect()
+    }
+
     /// Counts one message of `bytes` this root sent for its query.
     fn note_sent(&mut self, bytes: usize) {
         self.messages_sent += 1;
@@ -2343,8 +2352,16 @@ impl PeerNode {
         }
         let frame = self.frames.remove(&frame_id).expect("frame exists");
         let (op, completion) = (frame.op, frame.completion.clone());
-        let (combined, combined_partial) = combine(frame);
         let per_row = self.config.processing_us_per_row;
+        // A root join builds only the query's projected rows; a join that
+        // charges processing load per row keeps the full rows it counts.
+        let projection = match completion {
+            Completion::Root { qid } if per_row == 0 => {
+                self.rooted.get(&qid).map(|root| root.projection())
+            }
+            _ => None,
+        };
+        let (combined, combined_partial) = combine(frame, projection.as_deref());
         if per_row > 0 && op == FrameOp::Join {
             // The join work happens at this peer: charge its load before
             // the result moves on (§2.5's processing-load axis).
@@ -2365,12 +2382,7 @@ impl PeerNode {
                 return;
             }
             root.answered = true;
-            let names: Vec<String> = root
-                .query
-                .projection()
-                .iter()
-                .map(|&v| root.query.var_name(v).to_string())
-                .collect();
+            let names = root.projection();
             let mut missing: Vec<PeerId> = root.missing.iter().copied().collect();
             missing.sort();
             (
@@ -2385,9 +2397,11 @@ impl PeerNode {
         // root cannot claim the full answer — a surviving replica may
         // hold different rows than the lost peer did.
         let partial = partial || !missing.is_empty();
-        // Apply the query's final projection (§2.1 projections). An empty
-        // result coming out of a hole has no columns; give it the query's
-        // projection schema so consumers see a well-formed (empty) table.
+        // Apply the query's final projection (§2.1 projections) — a move
+        // when the root's final join already built only the projected
+        // rows. An empty result coming out of a hole has no columns; give
+        // it the query's projection schema so consumers see a well-formed
+        // (empty) table.
         let mut projected = result.into_projected(&names);
         if projected.rows.is_empty() && projected.columns.len() != names.len() {
             projected = ResultSet::empty(names.clone());
@@ -2950,7 +2964,8 @@ pub(crate) fn plan_columns(plan: &PlanNode) -> Vec<String> {
 /// Folds a completed frame's slots into its result, consuming the frame:
 /// the first slot (or the probe's precombined result) becomes the
 /// accumulator without a copy, and union inputs hand over their rows.
-fn combine(frame: Frame) -> (ResultSet, bool) {
+/// With a `projection`, a join's last step emits only those columns.
+fn combine(frame: Frame, projection: Option<&[String]>) -> (ResultSet, bool) {
     let partial = frame.partial && frame.op != FrameOp::Race;
     if let Some(pre) = frame.precombined {
         // A pipelined join probe already folded the combined result
@@ -2968,8 +2983,12 @@ fn combine(frame: Frame) -> (ResultSet, bool) {
             }
         }
         FrameOp::Join => {
-            for s in slots {
-                acc = acc.join(&s);
+            let mut slots = slots.peekable();
+            while let Some(s) = slots.next() {
+                acc = match projection {
+                    Some(names) if slots.peek().is_none() => acc.join_projected(&s, names),
+                    _ => acc.join(&s),
+                };
             }
         }
         // The winning (non-partial) slot if any, else the first filled.

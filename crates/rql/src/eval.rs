@@ -139,71 +139,106 @@ impl ResultSet {
         delta
     }
 
-    /// Natural hash join with `other` on all shared column names.
-    ///
-    /// Join keys are interned to dense integers first (one hash of each
-    /// node value per occurrence), so multi-column key comparison and the
-    /// build-side index run over `u32`s instead of re-hashing URI strings;
-    /// output rows are deduplicated in place and built only when new.
+    /// Natural hash join with `other` on all shared column names, keeping
+    /// every column: `self`'s, then `other`'s that `self` lacks.
     ///
     /// This is the ⋈ of vertical distribution (§2.4), which "ensures
     /// correctness of query results".
     pub fn join(&self, other: &ResultSet) -> ResultSet {
-        let shared: Vec<(usize, usize)> = self
-            .columns
+        let shared = self.shared_with(other);
+        let out: Vec<Side> = (0..self.columns.len())
+            .map(Side::Left)
+            .chain(
+                (0..other.columns.len())
+                    .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
+                    .map(Side::Right),
+            )
+            .collect();
+        self.join_onto(other, &shared, &out)
+    }
+
+    /// [`join`](Self::join) fused with [`project`](Self::project) onto
+    /// `names`: each output row is built from the matching input rows'
+    /// projected cells only, and deduplicated once. Equal to
+    /// `self.join(other).project(names)`, rows in the same order.
+    pub fn join_projected(&self, other: &ResultSet, names: &[String]) -> ResultSet {
+        let out: Vec<Side> = names
+            .iter()
+            .filter_map(|n| {
+                self.column_index(n)
+                    .map(Side::Left)
+                    .or_else(|| other.column_index(n).map(Side::Right))
+            })
+            .collect();
+        self.join_onto(other, &self.shared_with(other), &out)
+    }
+
+    /// `(i, j)` for every column name at `self[i]` and `other[j]`.
+    fn shared_with(&self, other: &ResultSet) -> Vec<(usize, usize)> {
+        self.columns
             .iter()
             .enumerate()
             .filter_map(|(i, c)| other.column_index(c).map(|j| (i, j)))
-            .collect();
-        let other_extra: Vec<usize> = (0..other.columns.len())
-            .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
-            .collect();
-        let mut columns = self.columns.clone();
-        columns.extend(other_extra.iter().map(|&j| other.columns[j].clone()));
+            .collect()
+    }
 
-        let mut out = ResultSet::empty(columns);
+    /// The join kernel: every pair of rows agreeing on `shared`, in
+    /// `self`-major, `other`-minor order, emits the cells `out` names;
+    /// output rows are deduplicated in place and built only when new.
+    ///
+    /// The build side (`other`) is indexed without a per-row key
+    /// allocation: each row's shared cells hash to one `u64`, and rows
+    /// with the same hash are chained in row order, so a probe walks its
+    /// candidates in build order and confirms each by comparing the
+    /// cells where they lie.
+    fn join_onto(&self, other: &ResultSet, shared: &[(usize, usize)], out: &[Side]) -> ResultSet {
+        let columns = out
+            .iter()
+            .map(|&side| match side {
+                Side::Left(i) => self.columns[i].clone(),
+                Side::Right(j) => other.columns[j].clone(),
+            })
+            .collect();
+        let mut result = ResultSet::empty(columns);
         let mut index = RowIndex::default();
-        let extra = &other_extra[..];
+        let mut emit = |a: &Row, b: &Row| {
+            index.push_cells(&mut result.rows, || {
+                out.iter().map(move |&side| match side {
+                    Side::Left(i) => &a[i],
+                    Side::Right(j) => &b[j],
+                })
+            });
+        };
         if shared.is_empty() {
             // Cartesian product (only reachable through hand-built plans).
             for a in &self.rows {
                 for b in &other.rows {
-                    index.push_cells(&mut out.rows, move || {
-                        a.iter().chain(extra.iter().map(move |&j| &b[j]))
-                    });
+                    emit(a, b);
                 }
             }
-            return out;
+            return result;
         }
-        // Intern the build side's key columns; probe keys that miss the
-        // interner cannot match any build row.
-        let mut intern: FxHashMap<&Node, u32> = FxHashMap::default();
-        let mut build: FxHashMap<Vec<u32>, Vec<&Row>> = FxHashMap::default();
-        for b in &other.rows {
-            let key: Vec<u32> = shared
-                .iter()
-                .map(|&(_, j)| {
-                    let next = intern.len() as u32;
-                    *intern.entry(&b[j]).or_insert(next)
-                })
-                .collect();
-            build.entry(key).or_default().push(b);
+        let mut heads: FxHashMap<u64, u32> =
+            FxHashMap::with_capacity_and_hasher(other.rows.len(), Default::default());
+        let mut next = vec![CHAIN_END; other.rows.len()];
+        // Built back to front, so each chain runs in row order.
+        for (pos, b) in other.rows.iter().enumerate().rev() {
+            let hash = row_hash(shared.iter().map(|&(_, j)| &b[j]));
+            let pos = u32::try_from(pos).expect("join side overflow");
+            next[pos as usize] = heads.insert(hash, pos).unwrap_or(CHAIN_END);
         }
         for a in &self.rows {
-            let key: Option<Vec<u32>> = shared
-                .iter()
-                .map(|&(i, _)| intern.get(&a[i]).copied())
-                .collect();
-            let Some(key) = key else { continue };
-            if let Some(matches) = build.get(&key) {
-                for &b in matches {
-                    index.push_cells(&mut out.rows, move || {
-                        a.iter().chain(extra.iter().map(move |&j| &b[j]))
-                    });
+            let hash = row_hash(shared.iter().map(|&(i, _)| &a[i]));
+            let mut pos = heads.get(&hash).copied().unwrap_or(CHAIN_END);
+            while pos != CHAIN_END {
+                let b = &other.rows[pos as usize];
+                if shared.iter().all(|&(i, j)| a[i] == b[j]) {
+                    emit(a, b);
                 }
+                pos = next[pos as usize];
             }
         }
-        out
+        result
     }
 
     /// Projects onto `names` (in that order), deduplicating rows.
@@ -277,6 +312,14 @@ impl ResultSet {
 
 /// Sentinel closing a [`RowIndex`] collision chain.
 const CHAIN_END: u32 = u32::MAX;
+
+/// Where a join output cell comes from: a column of the probe side
+/// (`self`) or of the build side (`other`).
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Left(usize),
+    Right(usize),
+}
 
 /// A dedup index over a `Vec<Row>` that never copies a row to probe it:
 /// each distinct row hash maps to the most recent position carrying it,

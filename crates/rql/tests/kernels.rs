@@ -59,6 +59,43 @@ fn aligned(table: &ResultSet, cells: Vec<Vec<u8>>) -> ResultSet {
     }
 }
 
+/// A join case: a table over 1–3 of `A`, `B`, `C`, a table sharing
+/// exactly 0–3 of those columns plus up to two of its own (`D`, `E`),
+/// each side's columns in any order, and a projection drawn from every
+/// name (repeats and a missing `Z` included). Narrow projections over a
+/// four-value cell pool produce duplicate rows for the join to fold.
+fn arb_join_case() -> impl Strategy<Value = (ResultSet, ResultSet, Vec<String>)> {
+    let wide_cells = || prop::collection::vec(prop::collection::vec(0..4u8, 5), 0..10);
+    (
+        (0..6usize, 1..4usize, 0..4usize, 0..3usize, 0..10usize),
+        (wide_cells(), wide_cells()),
+        prop::collection::vec(0..6usize, 0..5),
+    )
+        .prop_map(
+            |((order, width, shared, fresh, shuffle), (a_cells, b_cells), pick)| {
+                let a_cols: Vec<&str> = ORDERS[order][..width].to_vec();
+                let shared = shared.min(width);
+                let fresh = fresh.max(usize::from(shared == 0));
+                let mut b_cols: Vec<&str> = a_cols[..shared].to_vec();
+                b_cols.extend(&["D", "E"][..fresh]);
+                let turn = shuffle % b_cols.len();
+                b_cols.rotate_left(turn);
+                if shuffle >= 5 {
+                    b_cols.reverse();
+                }
+                let table = |cols: &[&str], cells| ResultSet {
+                    columns: cols.iter().map(|c| c.to_string()).collect(),
+                    rows: rows_of(cells, cols.len()),
+                };
+                let names = pick
+                    .into_iter()
+                    .map(|k| ["A", "B", "C", "D", "E", "Z"][k].to_string())
+                    .collect();
+                (table(&a_cols, a_cells), table(&b_cols, b_cells), names)
+            },
+        )
+}
+
 fn perm(acc: &ResultSet, part: &ResultSet) -> Option<Vec<usize>> {
     acc.columns.iter().map(|c| part.column_index(c)).collect()
 }
@@ -173,6 +210,14 @@ proptest! {
 
     #[test]
     fn join_matches_reference(a in arb_table(), b in arb_table()) {
+        prop_assert_eq!(a.join(&b), naive_join(&a, &b));
+    }
+
+    #[test]
+    fn join_projected_matches_reference((a, b, names) in arb_join_case()) {
+        let reference = naive_project(&naive_join(&a, &b), &names);
+        prop_assert_eq!(a.join_projected(&b, &names), reference);
+        // Keeping every column is the plain join.
         prop_assert_eq!(a.join(&b), naive_join(&a, &b));
     }
 

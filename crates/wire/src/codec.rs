@@ -111,6 +111,13 @@ impl Writer {
         Writer::default()
     }
 
+    /// A fresh writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -347,12 +354,14 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
+    /// Length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
+    }
+
     /// Length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, WireError> {
-        let bytes = self.bytes()?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| WireError::BadUtf8)
+        self.str().map(str::to_owned)
     }
 }
 

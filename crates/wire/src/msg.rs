@@ -29,6 +29,9 @@ use std::io::{Read, Write};
 /// The one wire version this build speaks.
 pub const WIRE_VERSION: u8 = 1;
 
+/// The `Msg::Data` tag, shared with the gateway's answer relay.
+pub(crate) const DATA_TAG: u64 = 11;
+
 /// Sanity cap on a frame's claimed payload length (16 MiB): a crafted
 /// length prefix must not make a reader allocate unboundedly.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
@@ -112,7 +115,7 @@ impl Wire for Msg {
                 seq,
                 last,
             } => {
-                w.u64v(11);
+                w.u64v(DATA_TAG);
                 channel.encode(w);
                 qid.encode(w);
                 w.u64v(*tag);
@@ -224,7 +227,7 @@ impl Wire for Msg {
                 attempt: r.u32v()?,
                 trace: Option::<TraceCtx>::decode(r)?,
             }),
-            11 => Ok(Msg::Data {
+            DATA_TAG => Ok(Msg::Data {
                 channel: Wire::decode(r)?,
                 qid: Wire::decode(r)?,
                 tag: r.u64v()?,
@@ -329,13 +332,21 @@ impl Wire for Envelope {
 /// Encodes a value into a complete frame: length prefix, version byte,
 /// payload.
 pub fn encode_frame<T: Wire>(value: &T) -> Vec<u8> {
-    let mut w = Writer::new();
+    frame_with(0, |w| value.encode(w))
+}
+
+/// Builds one frame in a single buffer (`capacity` bytes reserved up
+/// front): the length prefix is reserved, the version byte and `body`
+/// follow it, and the prefix is patched once the payload length is
+/// known — the payload is never copied.
+pub(crate) fn frame_with(capacity: usize, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::with_capacity(capacity);
+    w.raw(&[0; 4]);
     w.byte(WIRE_VERSION);
-    value.encode(&mut w);
-    let payload = w.into_bytes();
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    body(&mut w);
+    let mut frame = w.into_bytes();
+    let len = u32::try_from(frame.len() - 4).expect("frame length fits the u32 prefix");
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     frame
 }
 
@@ -381,26 +392,35 @@ pub fn write_frame<T: Wire>(sink: &mut impl Write, value: &T) -> std::io::Result
 
 /// Reads one frame from a byte source. Returns `Ok(None)` on clean EOF
 /// (connection closed between frames); a close mid-frame, an oversized
-/// length or a malformed payload is an error.
+/// length or a malformed payload is an error. Read timeouts behave as in
+/// [`read_payload`].
 pub fn read_frame<T: Wire>(
     source: &mut impl Read,
     schemas: &SchemaRegistry,
 ) -> std::io::Result<Option<T>> {
+    let Some(payload) = read_payload(source)? else {
+        return Ok(None);
+    };
+    decode_payload(&payload, schemas)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Reads one frame's payload (version byte and value; the length prefix
+/// is checked against [`MAX_FRAME_BYTES`] and stripped) without decoding
+/// it. Returns `Ok(None)` on clean EOF between frames.
+///
+/// A read timeout (`WouldBlock`/`TimedOut` from a socket with a read
+/// timeout) is returned only while no byte of the frame has arrived, so
+/// a server polling an idle connection can retry without losing its
+/// place. Once the frame has begun, timeouts are waited out: a frame
+/// split across the source's timeout is read whole, never torn. A peer
+/// that stalls mid-frame holds the read until it sends the rest or
+/// closes.
+pub fn read_payload(source: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match source.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+    if !fill(source, &mut len_buf, true)? {
+        return Ok(None);
     }
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME_BYTES {
@@ -410,10 +430,35 @@ pub fn read_frame<T: Wire>(
         ));
     }
     let mut payload = vec![0u8; len as usize];
-    source.read_exact(&mut payload)?;
-    decode_payload(&payload, schemas)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    fill(source, &mut payload, false)?;
+    Ok(Some(payload))
+}
+
+/// Fills `buf` from `source`. While nothing of a frame has been read
+/// (`starts_frame` and no byte yet), a clean EOF is `Ok(false)` and a
+/// timeout is returned as is; after that, timeouts are retried.
+fn fill(source: &mut impl Read, buf: &mut [u8], starts_frame: bool) -> std::io::Result<bool> {
+    use std::io::ErrorKind;
+    let mut filled = 0;
+    while filled < buf.len() {
+        let idle = starts_frame && filled == 0;
+        match source.read(&mut buf[filled..]) {
+            Ok(0) if idle => return Ok(false),
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "connection closed mid-frame",
+                ))
+            }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if !idle && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                continue
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 /// A gateway-front-door request: what a tenant client sends the gateway.

@@ -973,3 +973,74 @@ fn repeated_query_hits_root_plan_cache() {
         "repeats should reuse the root's plan: {stats:?}"
     );
 }
+
+/// Writes `frame` in two pieces with a pause longer than the servers'
+/// 500 ms idle read timeout between them: the first two bytes of the
+/// length prefix, then the rest.
+fn write_split(stream: &mut TcpStream, frame: &[u8]) {
+    use std::io::Write;
+    stream.write_all(&frame[..2]).expect("first piece sent");
+    std::thread::sleep(Duration::from_millis(700));
+    stream.write_all(&frame[2..]).expect("rest sent");
+}
+
+/// A frame that straddles a server's idle read timeout is read whole:
+/// the timeout only counts as idle before the first byte of a frame.
+#[test]
+fn frames_split_across_the_idle_timeout_are_read_whole() {
+    let host = spawn_status_host("127.0.0.1:0");
+    let gateway = spawn_acme_gateway(host.addr);
+
+    // The gateway front door.
+    let mut gw = TcpStream::connect(gateway.addr).expect("gateway reachable");
+    gw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout set");
+    let request = sqpeer_wire::encode_frame(&GatewayRequest {
+        token: "nobody".into(),
+        query: fig1_query_text().into(),
+    });
+    write_split(&mut gw, &request);
+    let verdict = read_frame::<GatewayResponse>(&mut gw, &SchemaRegistry::new());
+    assert!(
+        matches!(verdict, Ok(Some(GatewayResponse::Unauthorized))),
+        "got {verdict:?}"
+    );
+    // The connection is still in step: a whole request is answered.
+    assert!(matches!(ask_acme(&mut gw), GatewayResponse::Answer { .. }));
+
+    // The host's peer port.
+    let mut schemas = SchemaRegistry::new();
+    schemas.register(fig1_schema());
+    let query = sqpeer_rql::compile(fig1_query_text(), &fig1_schema()).expect("compiles");
+    let mut stream = TcpStream::connect(host.addr).expect("host reachable");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout set");
+    let frame = sqpeer_wire::encode_frame(&Envelope {
+        from: PeerId(9_999),
+        to: PeerId(0),
+        sent_at_us: 0,
+        msg: Msg::ClientQuery {
+            qid: QueryId(5),
+            query,
+        },
+    });
+    write_split(&mut stream, &frame);
+    let reply = read_frame::<Envelope>(&mut stream, &schemas);
+    assert!(
+        matches!(
+            &reply,
+            Ok(Some(Envelope {
+                msg: Msg::Data {
+                    qid: QueryId(5),
+                    ..
+                },
+                ..
+            }))
+        ),
+        "got {reply:?}"
+    );
+
+    gateway.shutdown();
+    host.shutdown();
+}
